@@ -38,7 +38,7 @@ from .errors import (
     ParameterError,
     UnstableFamilyError,
 )
-from .function_model import GridSignal, NoisyOracle, SmoothnessSpec, SpecKind
+from .function_model import Domain, GridSignal, NoisyOracle, SmoothnessSpec, SpecKind
 
 _UNSTABLE_EXPLANATION = (
     "no stable derivative estimator exists under this declaration: knowing only "
@@ -88,16 +88,29 @@ def error_bound_holder(delta: float, a: float, m1a: float) -> float:
     return float(c_a * delta ** (a / (1.0 + a)))
 
 
+def _stencil_in_domain(domain: Domain, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """True where both stencil ends, left = x-h and right = x+h, are in the domain.
+
+    All four comparisons are kept so that the result equals
+    ``domain.contains(x - h) and domain.contains(x + h)`` point by point:
+    NaN fails every comparison and is dropped, and a stencil end exactly on
+    lo or hi is kept. Callers pass the ends they evaluate, so each is
+    computed once.
+    """
+    return (left >= domain.lo) & (left <= domain.hi) & (right >= domain.lo) & (right <= domain.hi)
+
+
 def central_difference(oracle: NoisyOracle, x: float | np.ndarray, h: float):
     """(f_delta(x+h) - f_delta(x-h)) / (2h); the whole stencil must be in-domain."""
     _require_positive(h=h)
     xs = np.asarray(x, dtype=float)
-    if not oracle.base.domain.contains(xs - h) or not oracle.base.domain.contains(xs + h):
+    left, right = xs - h, xs + h
+    if not np.all(_stencil_in_domain(oracle.base.domain, left, right)):
         raise DomainError(
             f"central-difference stencil of half-width {h} leaves the domain "
             f"[{oracle.base.domain.lo}, {oracle.base.domain.hi}]"
         )
-    out = (oracle.eval_noisy(xs + h) - oracle.eval_noisy(xs - h)) / (2.0 * h)
+    out = (oracle.eval_noisy(right) - oracle.eval_noisy(left)) / (2.0 * h)
     return float(out) if np.isscalar(x) else out
 
 
@@ -187,6 +200,17 @@ class EstimateReport:
                 w.writerow(row)
 
 
+def _bound_at_step(spec: SmoothnessSpec, delta: float, h: float) -> float:
+    """The worst-case error at an arbitrary step h, not only at the optimum.
+
+    delta/h + m2*h/2 for C2 and delta/h + m*h**a for Holder; at the optimal
+    step this equals error_bound_c2 / error_bound_holder up to rounding.
+    """
+    if spec.kind is SpecKind.C2:
+        return delta / h + spec.bound * h / 2.0
+    return delta / h + spec.bound * h**spec.exponent
+
+
 def _gate_spec_and_delta(spec: SmoothnessSpec, delta: float) -> None:
     if spec.kind in (SpecKind.M0, SpecKind.M1):
         raise UnstableFamilyError(_UNSTABLE_EXPLANATION)
@@ -206,22 +230,27 @@ def estimate(
     """Estimate f' at ``points`` from noisy data with a guaranteed sup bound.
 
     Resolves the optimal step for the declared family (C2 or Holder), applies
-    the central difference, and reports the matching worst-case bound. Points
-    whose stencil leaves a bounded domain are dropped and counted, not
-    switched to one-sided differences. When the base oracle carries an exact
-    derivative, per-point absolute errors and their max are filled in.
+    the central difference, and reports the matching worst-case bound. A
+    step rule other than the family's optimum (``StepRule.fixed``) gets the
+    bound recomputed at the h it uses. Points whose stencil [x-h, x+h] is
+    not inside the closed domain (NaN included) are dropped and counted,
+    not switched to one-sided differences. When the base oracle carries an
+    exact derivative, per-point absolute errors and their max are filled in.
     """
     _gate_spec_and_delta(spec, oracle.delta)
-    rule = (step_rule or StepRule.for_spec(spec)).resolve(oracle.delta, spec)
+    optimal = StepRule.for_spec(spec)
+    rule = (step_rule or optimal).resolve(oracle.delta, spec)
     h = rule.resolved_h
 
     pts = np.atleast_1d(np.asarray(points, dtype=float))
-    domain = oracle.base.domain
-    keep = np.array([domain.contains(p - h) and domain.contains(p + h) for p in pts])
-    kept = pts[keep]
+    if pts.ndim != 1:
+        raise ParameterError(f"points must be a scalar or a 1-D array, got shape {pts.shape}")
+    kept = pts[_stencil_in_domain(oracle.base.domain, pts - h, pts + h)]
     dropped = int(len(pts) - len(kept))
 
-    if spec.kind is SpecKind.C2:
+    if rule.kind != optimal.kind:
+        bound = _bound_at_step(spec, oracle.delta, h)
+    elif spec.kind is SpecKind.C2:
         bound = error_bound_c2(oracle.delta, spec.bound)
     else:
         bound = error_bound_holder(oracle.delta, spec.exponent, spec.bound)
@@ -232,7 +261,7 @@ def estimate(
             guaranteed_bound=bound, dropped_points=dropped,
         )
 
-    estimates = (oracle.eval_noisy(kept + h) - oracle.eval_noisy(kept - h)) / (2.0 * h)
+    estimates = central_difference(oracle, kept, h)
 
     measured = None
     abs_errors = None
@@ -277,15 +306,10 @@ def estimate_on_grid(signal: GridSignal, spec: SmoothnessSpec) -> EstimateReport
     estimates = (values[2 * k :] - values[: n - 2 * k]) / (2.0 * h)
     points = signal.xs[k : n - k]
 
-    if spec.kind is SpecKind.C2:
-        bound = signal.delta / h + spec.bound * h / 2.0
-    else:
-        bound = signal.delta / h + spec.bound * h**spec.exponent
-
     return EstimateReport(
         points=points,
         estimates=estimates,
         h_used=float(h),
-        guaranteed_bound=float(bound),
+        guaranteed_bound=float(_bound_at_step(spec, signal.delta, h)),
         dropped_points=2 * k,  # the boundary samples that get no estimate
     )

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablederiv import (
     ConstantSignNoise,
@@ -269,6 +271,91 @@ def test_estimate_all_points_dropped_gives_empty_report():
     assert len(report.points) == 0
     assert report.dropped_points == 1
     assert report.measured_sup_error is None
+
+
+def test_estimate_empty_input_gives_empty_report():
+    sin = get_corpus_function("sin").oracle
+    noisy = NoisyOracle(base=sin, delta=1e-4, noise=NoNoise())
+    report = estimate(noisy, SmoothnessSpec.c2(1.0), [])
+    assert len(report.points) == 0 and len(report.estimates) == 0
+    assert report.dropped_points == 0
+    assert report.measured_sup_error is None
+
+
+def test_estimate_refuses_multidimensional_points():
+    sin = get_corpus_function("sin").oracle
+    noisy = NoisyOracle(base=sin, delta=1e-4, noise=NoNoise())
+    with pytest.raises(ParameterError):
+        estimate(noisy, SmoothnessSpec.c2(1.0), np.zeros((2, 3)))
+
+
+def test_estimate_fixed_step_reports_the_bound_at_that_step():
+    # at the optimal step h* = 0.0141 the bound is 0.0141; at h = 1e-3 the
+    # cosine profile costs delta/h = 0.1 at the odd multiples of h, so the
+    # bound must be recomputed at h
+    sin = get_corpus_function("sin").oracle
+    delta, h = 1e-4, 1e-3
+    noisy = NoisyOracle(base=sin, delta=delta, noise=CosineAdversarialNoise(h_ref=h))
+    odd_multiples = np.linspace(-2.999, 2.999, 2999)
+    report = estimate(noisy, SmoothnessSpec.c2(1.0), odd_multiples, step_rule=StepRule.fixed(h))
+    assert report.h_used == h
+    assert report.guaranteed_bound == pytest.approx(delta / h + h / 2.0, rel=1e-15)
+    assert report.measured_sup_error == pytest.approx(0.1, rel=1e-3)
+    assert report.measured_sup_error <= report.guaranteed_bound
+
+    hspec = SmoothnessSpec.holder(0.5, 1.0)
+    report = estimate(noisy, hspec, [0.0], step_rule=StepRule.fixed(h))
+    assert report.guaranteed_bound == pytest.approx(delta / h + h**0.5, rel=1e-15)
+
+
+def test_estimate_mask_calls_do_not_grow_with_the_point_count(monkeypatch):
+    calls = []
+    contains = Domain.contains
+
+    def counting(self, x):
+        calls.append(1)
+        return contains(self, x)
+
+    monkeypatch.setattr(Domain, "contains", counting)
+    sin = get_corpus_function("sin").oracle
+    noisy = NoisyOracle(base=sin, delta=1e-4, noise=UniformHashNoise(seed=1))
+    counts = []
+    for n in (10, 10_000):
+        calls.clear()
+        estimate(noisy, SmoothnessSpec.c2(1.0), np.linspace(-3, 3, n))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+_EDGE_DOMAINS = [Domain.real_line(), Domain.half_line(), Domain.interval(-1.5, 2.0)]
+
+
+@st.composite
+def _domain_step_points(draw):
+    domain = draw(st.sampled_from(_EDGE_DOMAINS))
+    h = draw(st.floats(min_value=1e-6, max_value=4.0))
+    edges = [-0.0, math.nan, math.inf, -math.inf]
+    for end in (domain.lo + h, domain.hi - h):
+        if math.isfinite(end):
+            edges += [end, math.nextafter(end, -math.inf), math.nextafter(end, math.inf)]
+    points = draw(
+        st.lists(
+            st.one_of(st.sampled_from(edges), st.floats(allow_nan=True, allow_infinity=True)),
+            max_size=40,
+        )
+    )
+    return domain, h, points
+
+
+@settings(max_examples=300, deadline=None)
+@given(_domain_step_points())
+def test_estimate_mask_matches_the_per_point_rule(case):
+    domain, h, points = case
+    noisy = NoisyOracle(base=FunctionOracle(eval=lambda x: 0.0, domain=domain), delta=1e-3)
+    report = estimate(noisy, SmoothnessSpec.c2(1.0), points, step_rule=StepRule.fixed(h))
+    expected = [p for p in points if domain.contains(p - h) and domain.contains(p + h)]
+    assert report.points.tobytes() == np.array(expected, dtype=float).tobytes()
+    assert report.dropped_points == len(points) - len(expected)
 
 
 def test_estimate_without_derivative_oracle_reports_no_measured_error():

@@ -73,7 +73,6 @@ from .function_model import (
     estimate_holder_seminorm,
     estimate_second_derivative_sup,
     estimate_sup_norm,
-    eval_noisy,
     noise_from_name,
 )
 from .inequalities import DomainSpec, InequalityResult, m1_bound, verify_against
@@ -134,7 +133,6 @@ __all__ = [
     "estimate_on_grid",
     "estimate_second_derivative_sup",
     "estimate_sup_norm",
-    "eval_noisy",
     "fit_slope",
     "get_corpus_function",
     "lower_bound",

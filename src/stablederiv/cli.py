@@ -370,7 +370,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     )
     if report.measured_sup_error is not None:
         print(f"measured_sup_error={report.measured_sup_error!r}")
-        if report.measured_sup_error > report.guaranteed_bound:
+        if not report.measured_sup_error <= report.guaranteed_bound:  # NaN fails too
             print(
                 "guarantee violation: measured error exceeds the certified bound; "
                 "either the declared smoothness bound is too small for this "
@@ -401,7 +401,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
             f"measured={r.measured_sup_error!r} n={r.n_points}"
         )
     print(f"slope={slope!r} theory={theory_slope(config.spec)!r}")
-    violations = [r for r in rows if r.measured_sup_error > r.theory_bound]
+    violations = [r for r in rows if not r.measured_sup_error <= r.theory_bound]
     if violations:
         print(
             f"guarantee violation in {len(violations)} of {len(rows)} rows: "

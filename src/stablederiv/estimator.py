@@ -25,7 +25,6 @@ estimator whatsoever has a worst-case error that vanishes with delta (the
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,6 +38,7 @@ from .errors import (
     UnstableFamilyError,
 )
 from .function_model import Domain, GridSignal, NoisyOracle, SmoothnessSpec, SpecKind
+from .function_model import write_float_csv
 
 _UNSTABLE_EXPLANATION = (
     "no stable derivative estimator exists under this declaration: knowing only "
@@ -89,15 +89,14 @@ def error_bound_holder(delta: float, a: float, m1a: float) -> float:
 
 
 def _stencil_in_domain(domain: Domain, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """True where both stencil ends, left = x-h and right = x+h, are in the domain.
+    """True where both stencil ends, left = x-h and right = x+h, are finite and in the domain.
 
-    All four comparisons are kept so that the result equals
-    ``domain.contains(x - h) and domain.contains(x + h)`` point by point:
-    NaN fails every comparison and is dropped, and a stencil end exactly on
-    lo or hi is kept. Callers pass the ends they evaluate, so each is
-    computed once.
+    Equals ``domain.contains(x - h) and domain.contains(x + h)`` restricted to
+    finite ends: NaN and ±inf fail ``isfinite``, and as h > 0 gives left <=
+    right, ``left >= lo`` and ``right <= hi`` imply the other two bounds. A
+    stencil end exactly on lo or hi is kept.
     """
-    return (left >= domain.lo) & (left <= domain.hi) & (right >= domain.lo) & (right <= domain.hi)
+    return np.isfinite(left) & np.isfinite(right) & (left >= domain.lo) & (right <= domain.hi)
 
 
 def central_difference(oracle: NoisyOracle, x: float | np.ndarray, h: float):
@@ -185,19 +184,18 @@ class EstimateReport:
         self.estimates = np.asarray(self.estimates, dtype=float)
         if self.points.shape != self.estimates.shape:
             raise ParameterError("points and estimates must have equal length")
+        self.h_used, self.guaranteed_bound = float(self.h_used), float(self.guaranteed_bound)
+        if self.measured_sup_error is not None:
+            self.measured_sup_error = float(self.measured_sup_error)
 
     def to_csv(self, path: str | Path) -> None:
         """Write rows ``x,estimate,h,bound[,abs_error]`` (header included)."""
-        with_truth = self.abs_errors is not None
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            header = ["x", "estimate", "h", "bound"] + (["abs_error"] if with_truth else [])
-            w.writerow(header)
-            for i, (x, est) in enumerate(zip(self.points, self.estimates)):
-                row = [repr(float(x)), repr(float(est)), repr(self.h_used), repr(self.guaranteed_bound)]
-                if with_truth:
-                    row.append(repr(float(self.abs_errors[i])))
-                w.writerow(row)
+        header = ["x", "estimate", "h", "bound"]
+        columns = [self.points, self.estimates, self.h_used, self.guaranteed_bound]
+        if self.abs_errors is not None:
+            header.append("abs_error")
+            columns.append(self.abs_errors)
+        write_float_csv(path, header, columns)
 
 
 def _bound_at_step(spec: SmoothnessSpec, delta: float, h: float) -> float:
@@ -233,8 +231,8 @@ def estimate(
     the central difference, and reports the matching worst-case bound. A
     step rule other than the family's optimum (``StepRule.fixed``) gets the
     bound recomputed at the h it uses. Points whose stencil [x-h, x+h] is
-    not inside the closed domain (NaN included) are dropped and counted,
-    not switched to one-sided differences. When the base oracle carries an
+    not finite and inside the closed domain (NaN, ±inf) are dropped and
+    counted, not switched to one-sided differences. When the base oracle carries an
     exact derivative, per-point absolute errors and their max are filled in.
     """
     _gate_spec_and_delta(spec, oracle.delta)

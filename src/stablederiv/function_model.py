@@ -28,6 +28,7 @@ from abc import ABC, abstractmethod
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -326,14 +327,21 @@ class NoisyOracle:
         return float(out) if np.isscalar(x) else out
 
 
-def eval_noisy(oracle: NoisyOracle, x: float | np.ndarray) -> float | np.ndarray:
-    """Functional alias for :meth:`NoisyOracle.eval_noisy`."""
-    return oracle.eval_noisy(x)
-
-
 # ---------------------------------------------------------------------------
 # sampled signals
 # ---------------------------------------------------------------------------
+
+
+def write_float_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> None:
+    """Write a header row, then one row per array element, each cell a float ``repr``.
+
+    Array columns must share one length (else ValueError); a scalar column repeats one repr.
+    """
+    arrays = [np.asarray(c, dtype=float) for c in columns]
+    n = max((len(a) for a in arrays if a.ndim), default=0)
+    cells = [map(repr, a.tolist()) if a.ndim else [repr(float(a))] * n for a in arrays]
+    rows = map(",".join, zip(*cells, strict=True))
+    Path(path).write_text("\n".join([",".join(header), *rows, ""]), encoding="utf-8", newline="")
 
 
 @dataclass(eq=False)
@@ -365,23 +373,19 @@ class GridSignal:
 
     def to_csv(self, path: str | Path) -> None:
         """Write as CSV with header ``x,value`` (full-precision reprs)."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["x", "value"])
-            for x, v in zip(self.xs, self.values):
-                w.writerow([repr(float(x)), repr(float(v))])
+        write_float_csv(path, ["x", "value"], [self.xs, self.values])
 
     @classmethod
     def from_csv(cls, path: str | Path, delta: float) -> "GridSignal":
         """Read a ``x,value`` CSV; the grid must be uniform to ~1e-9 relative."""
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or [c.strip() for c in rows[0]] != ["x", "value"]:
-            raise ParameterError(f"{path}: expected CSV header 'x,value'")
-        body = [r for r in rows[1:] if r and not r[0].startswith("#")]
+            reader = csv.reader(fh)
+            if [c.strip() for c in next(reader, [])] != ["x", "value"]:
+                raise ParameterError(f"{path}: expected CSV header 'x,value'")
+            body = [r for r in reader if r and not r[0].startswith("#")]
         try:
-            xs = np.array([float(r[0]) for r in body])
-            vals = np.array([float(r[1]) for r in body])
+            xs = np.fromiter(map(float, map(itemgetter(0), body)), float, len(body))
+            vals = np.fromiter(map(float, map(itemgetter(1), body)), float, len(body))
         except (ValueError, IndexError) as exc:
             raise ParameterError(f"{path}: malformed row ({exc})") from exc
         if len(xs) < 3:

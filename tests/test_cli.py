@@ -9,10 +9,13 @@ import pytest
 
 from stablederiv import (
     ConfigurationError,
+    EstimateReport,
     InsufficientDataError,
+    NoisyOracle,
     ParameterError,
     SmoothnessSpec,
     SpecKind,
+    StepRule,
     StudyConfig,
     StudyRow,
     cli_dispatch,
@@ -22,6 +25,7 @@ from stablederiv import (
     theory_slope,
     write_study_csv,
 )
+from stablederiv import cli
 from stablederiv.cli import (
     DEFAULT_STUDY_WINDOW,
     parse_deltas,
@@ -317,6 +321,62 @@ def test_dispatch_estimate_guarantee_violation_exits_two(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "guarantee violation" in captured.err
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # linspace over ±inf
+def test_dispatch_estimate_drops_infinite_points(capsys):
+    # linspace(-inf, inf, 3) is [nan, nan, inf]: no stencil is finite, so none is kept
+    code = cli_dispatch(
+        ["estimate", "--fn", "sin", "--spec", "c2:m2=1", "--delta", "1e-4", "--points=-inf:inf:3"]
+    )
+    stdout = capsys.readouterr().out
+    assert code == 0
+    assert "nan" not in stdout
+    assert "points=0 dropped=3" in stdout
+
+
+def test_dispatch_estimate_prints_plain_float_reprs(monkeypatch, tmp_path, capsys):
+    real_estimate = cli.estimate
+
+    def with_numpy_scalars(oracle, spec, points, step_rule):
+        oracle = NoisyOracle(base=oracle.base, delta=np.float64(oracle.delta), noise=oracle.noise)
+        return real_estimate(oracle, spec, points, StepRule.fixed(np.float64(step_rule.resolved_h)))
+
+    monkeypatch.setattr(cli, "estimate", with_numpy_scalars)
+    out_csv = tmp_path / "report.csv"
+    code = cli_dispatch(
+        [
+            "estimate", "--fn", "sin", "--spec", "c2:m2=1", "--delta", "1e-4",
+            "--noise", "none", "--points=-1:1:5", "--out", str(out_csv),
+        ]
+    )
+    stdout = capsys.readouterr().out
+    assert code == 0
+    values = dict(item.split("=") for line in stdout.splitlines() for item in line.split())
+    for key in ("h", "bound", "measured_sup_error"):
+        assert repr(float(values[key])) == values[key]
+    for row in out_csv.read_text().splitlines()[1:]:
+        assert row.split(",")[2:4] == [values["h"], values["bound"]]
+
+
+@pytest.mark.parametrize("command", ["estimate", "study"])
+def test_nan_measured_error_is_a_guarantee_violation(monkeypatch, capsys, command):
+    nan_report = EstimateReport(
+        points=[0.0], estimates=[0.0], h_used=0.1, guaranteed_bound=1.0,
+        measured_sup_error=math.nan,
+    )
+    nan_rows = [
+        StudyRow(delta=d, h_used=0.1, theory_bound=1.0, measured_sup_error=e, n_points=1, seed=0)
+        for d, e in ((1e-2, 0.5), (1e-3, 0.1), (1e-4, math.nan))
+    ]
+    monkeypatch.setattr(cli, "estimate", lambda *args, **kwargs: nan_report)
+    monkeypatch.setattr(cli, "run_study", lambda config: (nan_rows, 0.5))
+    argv = {
+        "estimate": ["estimate", "--fn", "sin", "--spec", "c2:m2=1", "--delta", "1e-4"],
+        "study": ["study", "--fn", "sin", "--spec", "c2:m2=1", "--deltas", "1e-2:1e-5:4"],
+    }[command]
+    assert cli_dispatch(argv) == 2
+    assert "guarantee violation" in capsys.readouterr().err
 
 
 def test_dispatch_estimate_unstable_spec_exits_one(capsys):

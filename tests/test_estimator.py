@@ -353,7 +353,11 @@ def test_estimate_mask_matches_the_per_point_rule(case):
     domain, h, points = case
     noisy = NoisyOracle(base=FunctionOracle(eval=lambda x: 0.0, domain=domain), delta=1e-3)
     report = estimate(noisy, SmoothnessSpec.c2(1.0), points, step_rule=StepRule.fixed(h))
-    expected = [p for p in points if domain.contains(p - h) and domain.contains(p + h)]
+    expected = [
+        p for p in points
+        if domain.contains(p - h) and domain.contains(p + h)
+        and math.isfinite(p - h) and math.isfinite(p + h)
+    ]
     assert report.points.tobytes() == np.array(expected, dtype=float).tobytes()
     assert report.dropped_points == len(points) - len(expected)
 
@@ -523,6 +527,34 @@ def test_report_csv_round_trip(tmp_path):
         assert float(text_row[2]) == report.h_used
         assert float(text_row[3]) == report.guaranteed_bound
         assert float(text_row[4]) == err
+
+
+def test_report_coerces_numpy_scalars_to_plain_floats(tmp_path):
+    sin = get_corpus_function("sin").oracle
+    noisy = NoisyOracle(base=sin, delta=np.float64(1e-4))
+    rule = StepRule.fixed(np.float64(0.01))
+    report = estimate(noisy, SmoothnessSpec.c2(1.0), [0.0, 0.5], step_rule=rule)
+    assert type(report.h_used) is float
+    assert type(report.guaranteed_bound) is float
+    assert type(report.measured_sup_error) is float
+    path = tmp_path / "report.csv"
+    report.to_csv(path)
+    for row in path.read_text().splitlines()[1:]:
+        cells = row.split(",")
+        assert cells[2] == "0.01"
+        assert cells[3] == repr(report.guaranteed_bound) == repr(1e-4 / 0.01 + 0.01 / 2.0)
+
+
+def test_infinite_points_are_dropped_and_refused_by_central_difference():
+    sin = get_corpus_function("sin").oracle
+    noisy = NoisyOracle(base=sin, delta=1e-4, noise=UniformHashNoise(seed=3))
+    report = estimate(noisy, SmoothnessSpec.c2(1.0), [-np.inf, 0.0, np.inf, np.nan])
+    assert report.points.tolist() == [0.0]
+    assert report.dropped_points == 3
+    assert math.isfinite(report.measured_sup_error)
+    for x in (-np.inf, np.inf, np.array([0.0, np.inf])):
+        with pytest.raises(DomainError):
+            central_difference(noisy, x, 1e-2)
 
 
 def test_report_csv_without_truth_omits_error_column(tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -25,9 +26,9 @@ from stablederiv import (
     estimate_holder_seminorm,
     estimate_second_derivative_sup,
     estimate_sup_norm,
-    eval_noisy,
     noise_from_name,
 )
+from stablederiv.function_model import write_float_csv
 
 
 def _sin_oracle() -> FunctionOracle:
@@ -208,7 +209,6 @@ def test_eval_noisy_zero_noise_identity():
     square = FunctionOracle(eval=lambda x: np.asarray(x, dtype=float) ** 2)
     noisy = NoisyOracle(base=square, delta=0.0, noise=NoNoise())
     assert noisy.eval_noisy(1.5) == 2.25
-    assert eval_noisy(noisy, 1.5) == 2.25
 
 
 def test_eval_noisy_constant_sign_offset():
@@ -276,6 +276,30 @@ def test_grid_signal_csv_round_trip(tmp_path):
     assert back.x0 == sig.x0
     assert back.spacing == pytest.approx(sig.spacing, rel=1e-12)
     assert np.array_equal(back.values, sig.values)
+
+
+@pytest.mark.parametrize("n", [0, 1, 300])
+def test_write_float_csv_matches_the_csv_writer_loop(tmp_path, n):
+    rng = np.random.default_rng(n)
+    special = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, 1.0 / 3.0]
+    xs = np.concatenate([special, rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)])[:n]
+    ys = rng.standard_normal(n)
+    got = tmp_path / "bulk.csv"
+    write_float_csv(got, ["x", "y", "h", "bound"], [xs, ys, np.float64(0.01), 2.5])
+    want = tmp_path / "loop.csv"
+    with open(want, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["x", "y", "h", "bound"])
+        for x, y in zip(xs, ys):
+            w.writerow([repr(float(x)), repr(float(y)), repr(0.01), repr(2.5)])
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_write_float_csv_refuses_columns_of_unequal_length(tmp_path):
+    path = tmp_path / "ragged.csv"
+    with pytest.raises(ValueError):
+        write_float_csv(path, ["x", "y"], [np.zeros(3), np.zeros(2)])
+    assert not path.exists()
 
 
 def test_grid_signal_csv_rejects_bad_header(tmp_path):

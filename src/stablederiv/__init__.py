@@ -73,6 +73,7 @@ from .function_model import (
     estimate_holder_seminorm,
     estimate_second_derivative_sup,
     estimate_sup_norm,
+    eval_noisy,
     noise_from_name,
 )
 from .inequalities import DomainSpec, InequalityResult, m1_bound, verify_against
@@ -133,6 +134,7 @@ __all__ = [
     "estimate_on_grid",
     "estimate_second_derivative_sup",
     "estimate_sup_norm",
+    "eval_noisy",
     "fit_slope",
     "get_corpus_function",
     "lower_bound",

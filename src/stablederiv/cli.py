@@ -20,7 +20,6 @@ configurations produce bit-identical output (seeds included).
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import dataclass
@@ -89,8 +88,8 @@ def parse_points(text: str) -> np.ndarray:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigurationError(f"bad points {text!r}: {exc}") from exc
-    if not lo < hi or count < 1:
-        raise ConfigurationError(f"points need lo < hi and count >= 1, got {text!r}")
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi) or count < 1:
+        raise ConfigurationError(f"points need finite lo < hi and count >= 1, got {text!r}")
     return np.linspace(lo, hi, count)
 
 
@@ -317,26 +316,13 @@ def theory_slope(spec: SmoothnessSpec) -> float:
     raise ParameterError(f"no convergence rate exists for spec kind {spec.kind}")
 
 
-def write_study_csv(
-    rows: Sequence[StudyRow], slope: float, path: str | Path
-) -> None:
+def write_study_csv(rows: Sequence[StudyRow], slope: float, path: str | Path) -> None:
     """Header row, one row per delta, and a trailing ``# slope,<value>`` line."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(
-            ["delta", "h_used", "theory_bound", "measured_sup_error", "n_points", "seed"]
-        )
+        fh.write("delta,h_used,theory_bound,measured_sup_error,n_points,seed\n")
         for r in rows:
-            w.writerow(
-                [
-                    repr(r.delta),
-                    repr(r.h_used),
-                    repr(r.theory_bound),
-                    repr(r.measured_sup_error),
-                    r.n_points,
-                    r.seed,
-                ]
-            )
+            fh.write(f"{r.delta!r},{r.h_used!r},{r.theory_bound!r},"
+                     f"{r.measured_sup_error!r},{r.n_points},{r.seed}\n")
         fh.write(f"# slope,{slope!r}\n")
 
 

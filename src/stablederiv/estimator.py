@@ -91,10 +91,9 @@ def error_bound_holder(delta: float, a: float, m1a: float) -> float:
 def _stencil_in_domain(domain: Domain, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """True where both stencil ends, left = x-h and right = x+h, are finite and in the domain.
 
-    Equals ``domain.contains(x - h) and domain.contains(x + h)`` restricted to
-    finite ends: NaN and ±inf fail ``isfinite``, and as h > 0 gives left <=
-    right, ``left >= lo`` and ``right <= hi`` imply the other two bounds. A
-    stencil end exactly on lo or hi is kept.
+    Equals ``domain.contains(x - h) and domain.contains(x + h)`` restricted to finite
+    ends: NaN and ±inf fail ``isfinite``; as h > 0 gives left <= right, ``left >= lo``
+    and ``right <= hi`` imply the other two bounds. An end exactly on lo or hi is kept.
     """
     return np.isfinite(left) & np.isfinite(right) & (left >= domain.lo) & (right <= domain.hi)
 

@@ -28,7 +28,6 @@ from abc import ABC, abstractmethod
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +37,8 @@ from .errors import CapabilityError, DomainError, ParameterError
 # Probe window used for sup-norm style estimation when the oracle domain is
 # unbounded. All built-in test functions attain their sups well inside it.
 DEFAULT_PROBE_WINDOW = (-10.0, 10.0)
+
+_CSV_BLOCK = 65536  # rows formatted and written at a time by write_float_csv
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +328,11 @@ class NoisyOracle:
         return float(out) if np.isscalar(x) else out
 
 
+def eval_noisy(oracle: NoisyOracle, x: float | np.ndarray) -> float | np.ndarray:
+    """Functional alias for :meth:`NoisyOracle.eval_noisy`."""
+    return oracle.eval_noisy(x)
+
+
 # ---------------------------------------------------------------------------
 # sampled signals
 # ---------------------------------------------------------------------------
@@ -335,13 +341,20 @@ class NoisyOracle:
 def write_float_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> None:
     """Write a header row, then one row per array element, each cell a float ``repr``.
 
-    Array columns must share one length (else ValueError); a scalar column repeats one repr.
+    Array columns must share one length (else ValueError, before the file is opened);
+    a scalar column repeats one repr. Rows go out in blocks, so memory stays bounded.
     """
     arrays = [np.asarray(c, dtype=float) for c in columns]
     n = max((len(a) for a in arrays if a.ndim), default=0)
-    cells = [map(repr, a.tolist()) if a.ndim else [repr(float(a))] * n for a in arrays]
-    rows = map(",".join, zip(*cells, strict=True))
-    Path(path).write_text("\n".join([",".join(header), *rows, ""]), encoding="utf-8", newline="")
+    if any(a.ndim and len(a) != n for a in arrays):
+        raise ValueError(f"array columns differ in length: {[len(a) for a in arrays if a.ndim]}")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(0, n, _CSV_BLOCK):
+            m = min(_CSV_BLOCK, n - i)
+            cells = [map(repr, a[i : i + m].tolist()) if a.ndim else [repr(float(a))] * m
+                     for a in arrays]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 @dataclass(eq=False)
@@ -379,13 +392,13 @@ class GridSignal:
     def from_csv(cls, path: str | Path, delta: float) -> "GridSignal":
         """Read a ``x,value`` CSV; the grid must be uniform to ~1e-9 relative."""
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            if [c.strip() for c in next(reader, [])] != ["x", "value"]:
-                raise ParameterError(f"{path}: expected CSV header 'x,value'")
-            body = [r for r in reader if r and not r[0].startswith("#")]
+            rows = list(csv.reader(fh))
+        if not rows or [c.strip() for c in rows[0]] != ["x", "value"]:
+            raise ParameterError(f"{path}: expected CSV header 'x,value'")
+        body = [r for r in rows[1:] if r and not r[0].startswith("#")]
         try:
-            xs = np.fromiter(map(float, map(itemgetter(0), body)), float, len(body))
-            vals = np.fromiter(map(float, map(itemgetter(1), body)), float, len(body))
+            xs = np.array([float(r[0]) for r in body])
+            vals = np.array([float(r[1]) for r in body])
         except (ValueError, IndexError) as exc:
             raise ParameterError(f"{path}: malformed row ({exc})") from exc
         if len(xs) < 3:

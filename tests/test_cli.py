@@ -323,16 +323,17 @@ def test_dispatch_estimate_guarantee_violation_exits_two(capsys):
     assert "guarantee violation" in captured.err
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # linspace over ±inf
-def test_dispatch_estimate_drops_infinite_points(capsys):
-    # linspace(-inf, inf, 3) is [nan, nan, inf]: no stencil is finite, so none is kept
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("points", ["-inf:inf:3", "-inf:0:3", "0:inf:3", "nan:1:3"])
+def test_dispatch_estimate_refuses_infinite_points(capsys, points):
+    # refused before linspace, which would warn and return [nan, nan, inf] for -inf:inf:3
     code = cli_dispatch(
-        ["estimate", "--fn", "sin", "--spec", "c2:m2=1", "--delta", "1e-4", "--points=-inf:inf:3"]
+        ["estimate", "--fn", "sin", "--spec", "c2:m2=1", "--delta", "1e-4", f"--points={points}"]
     )
-    stdout = capsys.readouterr().out
-    assert code == 0
-    assert "nan" not in stdout
-    assert "points=0 dropped=3" in stdout
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "points need finite lo < hi" in captured.err
 
 
 def test_dispatch_estimate_prints_plain_float_reprs(monkeypatch, tmp_path, capsys):

@@ -26,8 +26,10 @@ from stablederiv import (
     estimate_holder_seminorm,
     estimate_second_derivative_sup,
     estimate_sup_norm,
+    eval_noisy,
     noise_from_name,
 )
+from stablederiv import function_model
 from stablederiv.function_model import write_float_csv
 
 
@@ -209,6 +211,7 @@ def test_eval_noisy_zero_noise_identity():
     square = FunctionOracle(eval=lambda x: np.asarray(x, dtype=float) ** 2)
     noisy = NoisyOracle(base=square, delta=0.0, noise=NoNoise())
     assert noisy.eval_noisy(1.5) == 2.25
+    assert eval_noisy(noisy, 1.5) == 2.25
 
 
 def test_eval_noisy_constant_sign_offset():
@@ -278,8 +281,10 @@ def test_grid_signal_csv_round_trip(tmp_path):
     assert np.array_equal(back.values, sig.values)
 
 
+@pytest.mark.parametrize("block", [1, 7, 65536])
 @pytest.mark.parametrize("n", [0, 1, 300])
-def test_write_float_csv_matches_the_csv_writer_loop(tmp_path, n):
+def test_write_float_csv_matches_the_csv_writer_loop(tmp_path, monkeypatch, n, block):
+    monkeypatch.setattr(function_model, "_CSV_BLOCK", block)
     rng = np.random.default_rng(n)
     special = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, 1.0 / 3.0]
     xs = np.concatenate([special, rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)])[:n]

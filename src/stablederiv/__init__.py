@@ -69,14 +69,12 @@ from .function_model import (
     SmoothnessSpec,
     SpecKind,
     UniformHashNoise,
-    estimate_holder_norm,
     estimate_holder_seminorm,
     estimate_second_derivative_sup,
     estimate_sup_norm,
-    eval_noisy,
     noise_from_name,
 )
-from .inequalities import DomainSpec, InequalityResult, m1_bound, verify_against
+from .inequalities import InequalityResult, m1_bound, verify_against
 from .cli import (
     StudyConfig,
     StudyRow,
@@ -100,7 +98,6 @@ __all__ = [
     "DegenerateInputError",
     "Domain",
     "DomainError",
-    "DomainSpec",
     "EstimateReport",
     "EstimatorFailure",
     "EstimatorHandle",
@@ -129,12 +126,10 @@ __all__ = [
     "error_bound_c2",
     "error_bound_holder",
     "estimate",
-    "estimate_holder_norm",
     "estimate_holder_seminorm",
     "estimate_on_grid",
     "estimate_second_derivative_sup",
     "estimate_sup_norm",
-    "eval_noisy",
     "fit_slope",
     "get_corpus_function",
     "lower_bound",

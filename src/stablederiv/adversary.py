@@ -1,12 +1,17 @@
-"""Executable impossibility: why sup|f'| alone cannot stabilize differentiation.
+"""Executable lower bound: the C2 wave pair behind the optimality of the C2 bound.
 
-Given only a first-derivative budget M and a data accuracy delta, two
-functions f1 and f2 = -f1 exist with |f1|, |f2| <= delta everywhere (so the
-all-zero observation is delta-consistent with both), |f1'|, |f2'| <= M, and
-yet f1'(0) = -f2'(0) = sqrt(2*delta*M). Any estimator fed the zero data
-stream returns one number b and must be wrong by at least sqrt(2*delta*M)
-against one of them -- an error floor that does not shrink relative to the
-derivative scale M*h.
+Given a curvature budget M and a data accuracy delta, two functions f1 and
+f2 = -f1 exist with |f1|, |f2| <= delta everywhere (so the all-zero
+observation is delta-consistent with both), |f1''| <= M, and yet
+f1'(0) = -f2'(0) = sqrt(2*delta*M). Any estimator fed the zero data stream
+returns one number b and must be wrong by at least sqrt(2*delta*M) against
+one of them.
+
+That gap goes to 0 with delta, so this pair does not show the paper's
+impossibility result (no estimate from sup|f| and sup|f'| alone is stable);
+it shows that the C2 bound is optimal (:func:`optimality_witness`, ratio 1).
+A witness for the paper's own pair, whose derivative gap does not shrink
+with delta, is ROADMAP item 5.
 
 The construction: with h = sqrt(2*delta/M), take the odd, 4h-periodic C1
 wave of piecewise parabolas
@@ -31,6 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import EstimatorFailure, ParameterError
+from .estimator import central_difference, error_bound_c2
 from .function_model import FunctionOracle, NoisyOracle, NoNoise
 
 
@@ -121,12 +127,6 @@ def build_zoo() -> list[EstimatorHandle]:
     bad scheme.
     """
 
-    def central(h: float) -> Callable[[NoisyOracle, float], float]:
-        def run(obs: NoisyOracle, at: float) -> float:
-            return (float(obs.eval_noisy(at + h)) - float(obs.eval_noisy(at - h))) / (2.0 * h)
-
-        return run
-
     def smoothed5(h: float) -> Callable[[NoisyOracle, float], float]:
         # least-squares slope through 5 equispaced noisy samples
         def run(obs: NoisyOracle, at: float) -> float:
@@ -139,7 +139,9 @@ def build_zoo() -> list[EstimatorHandle]:
     for h in (0.01, 0.1, 1.0):
         zoo.append(
             EstimatorHandle(
-                f"central-h={h}", central(h), f"central difference, half-width {h}"
+                f"central-h={h}",
+                lambda obs, at, h=h: central_difference(obs, at, h),
+                f"central difference, half-width {h}",
             )
         )
     zoo.append(
@@ -231,8 +233,6 @@ def optimality_witness(delta: float, m2: float) -> tuple[float, float, float]:
     the method is optimal among all estimators, not merely among difference
     schemes.
     """
-    from .estimator import error_bound_c2
-
     low = lower_bound(delta, m2)
     up = error_bound_c2(delta, m2)
     return low, up, up / low

@@ -38,6 +38,7 @@ from .errors import (
 )
 from .estimator import StepRule, estimate, estimate_on_grid
 from .function_model import (
+    Domain,
     FunctionOracle,
     GridSignal,
     NoisyOracle,
@@ -47,7 +48,7 @@ from .function_model import (
     estimate_second_derivative_sup,
     noise_from_name,
 )
-from .inequalities import DomainSpec, m1_bound
+from .inequalities import m1_bound
 
 # Experiments measure sup error over this window unless overridden by the
 # --window flag or the STABLEDERIV_PROBE_WINDOW environment variable.
@@ -150,20 +151,20 @@ def parse_spec(text: str) -> SmoothnessSpec:
     )
 
 
-def parse_domain(text: str) -> DomainSpec:
-    """``real``/``whole-line``, ``half``/``half-line``, or ``interval:<L>``."""
+def parse_domain(text: str) -> Domain:
+    """``real``/``whole-line``, ``half``/``half-line``, or ``interval:<L>`` = [0, L]."""
     key = text.strip().lower()
     if key in ("real", "whole-line", "line", "r"):
-        return DomainSpec.whole_line()
+        return Domain.real_line()
     if key in ("half", "half-line"):
-        return DomainSpec.half_line()
+        return Domain.half_line()
     if key.startswith("interval"):
         _, sep, rest = key.partition(":")
         if not sep:
             raise ConfigurationError("interval domains are written 'interval:<length>'")
         try:
-            return DomainSpec.interval(float(rest))
-        except (ValueError, ParameterError) as exc:
+            return Domain.interval(0.0, float(rest))
+        except ValueError as exc:  # float() or Domain (ParameterError is a ValueError)
             raise ConfigurationError(f"bad interval length in {text!r}: {exc}") from exc
     raise ConfigurationError(
         f"unknown domain {text!r}; use real, half, or interval:<length>"
@@ -196,7 +197,6 @@ class StudyConfig:
     seed: int = 0
     window: tuple[float, float] = DEFAULT_STUDY_WINDOW
     grid_points: int = 2001
-    out_path: str | None = None
 
     def __post_init__(self) -> None:
         if len(self.deltas) < 4:
@@ -273,10 +273,10 @@ def run_study(config: StudyConfig) -> tuple[list[StudyRow], float]:
     points = np.linspace(config.window[0], config.window[1], config.grid_points)
     rows = []
     for delta in config.deltas:
-        rule = StepRule.for_spec(config.spec).resolve(delta, config.spec)
-        noise = noise_from_name(config.noise_name, seed=config.seed, h_ref=rule.resolved_h)
+        h, _ = StepRule().resolve(delta, config.spec)
+        noise = noise_from_name(config.noise_name, seed=config.seed, h_ref=h)
         oracle = NoisyOracle(base=entry.oracle, delta=delta, noise=noise)
-        report = estimate(oracle, config.spec, points, step_rule=rule)
+        report = estimate(oracle, config.spec, points)
         rows.append(
             StudyRow(
                 delta=delta,
@@ -338,15 +338,15 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         report = estimate_on_grid(signal, spec)
     else:
         entry = corpus.get(args.fn)
-        rule = StepRule.for_spec(spec).resolve(args.delta, spec)
-        noise = noise_from_name(args.noise, seed=args.seed, h_ref=rule.resolved_h)
+        h, _ = StepRule().resolve(args.delta, spec)
+        noise = noise_from_name(args.noise, seed=args.seed, h_ref=h)
         oracle = NoisyOracle(base=entry.oracle, delta=args.delta, noise=noise)
         if args.points is not None:
             points = parse_points(args.points)
         else:
             lo, hi = resolve_probe_window(args.window)
             points = np.linspace(lo, hi, 201)
-        report = estimate(oracle, spec, points, step_rule=rule)
+        report = estimate(oracle, spec, points)
 
     if args.out:
         report.to_csv(args.out)
@@ -376,11 +376,10 @@ def _cmd_study(args: argparse.Namespace) -> int:
         seed=args.seed,
         window=resolve_probe_window(args.window),
         grid_points=args.grid_points,
-        out_path=args.out,
     )
     rows, slope = run_study(config)
-    if config.out_path:
-        write_study_csv(rows, slope, config.out_path)
+    if args.out:
+        write_study_csv(rows, slope, args.out)
     for r in rows:
         print(
             f"delta={r.delta!r} h={r.h_used!r} bound={r.theory_bound!r} "

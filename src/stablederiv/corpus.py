@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .function_model import Domain, FunctionOracle, SmoothnessSpec
+from .function_model import FunctionOracle, SmoothnessSpec
 
 __all__ = ["CorpusEntry", "get", "list_names"]
 

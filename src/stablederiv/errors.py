@@ -33,7 +33,7 @@ class UnstableFamilyError(StableDerivError):
 
 
 class DegenerateInputError(StableDerivError, ValueError):
-    """delta = 0 has no optimal step; use a plain finite difference instead."""
+    """delta = 0 has no optimal step; use a fixed step (StepRule.fixed) instead."""
 
 
 class GridTooShortError(StableDerivError, ValueError):

@@ -15,16 +15,21 @@ For f whose derivative is Holder-continuous, |f'(y)-f'(x)| <= m*|y-x|**a:
     giving  c_a * delta**(a/(1+a))  with
     c_a = (a*m)**(1/(1+a)) + m/(a*m)**(a/(1+a)).
 
-The two step rules are dispatched on the declared :class:`SmoothnessSpec`;
-C2 data always gets the Taylor route because its constant beats the a=1
-Holder constant by a factor sqrt(2)/2. Declaring only sup|f| or sup|f'| is
-refused outright (:class:`UnstableFamilyError`): under that information no
-estimator whatsoever has a worst-case error that vanishes with delta (the
-``adversary`` module makes that failure executable).
+:meth:`StepRule.resolve` is the one place that picks h and its bound, at the
+optimum above or at a fixed h; it dispatches on the declared
+:class:`SmoothnessSpec`, and C2 data always gets the Taylor route because its
+constant beats the a=1 Holder constant by a factor sqrt(2)/2. Declaring only
+sup|f| or sup|f'| is refused outright (:class:`UnstableFamilyError`): under
+that information no estimator whatsoever has a worst-case error that vanishes
+with delta. The ``adversary`` module's C2 wave pair does not show this (its
+derivative gap sqrt(2*delta*M) vanishes with delta); it shows that the C2
+bound is optimal. An executable witness of the impossibility result itself is
+ROADMAP item 5.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -113,51 +118,54 @@ def central_difference(oracle: NoisyOracle, x: float | np.ndarray, h: float):
 
 
 # ---------------------------------------------------------------------------
-# step rules and reports
+# step rule and reports
 # ---------------------------------------------------------------------------
-
-STEP_C2_OPTIMAL = "c2-optimal"
-STEP_HOLDER_OPTIMAL = "holder-optimal"
-STEP_FIXED = "fixed"
 
 
 @dataclass(frozen=True)
 class StepRule:
-    """How the half-width h is chosen: a closed-form optimum or a fixed value."""
+    """How the half-width h is chosen.
 
-    kind: str
+    ``StepRule()`` takes the declared family's closed-form optimum and
+    ``StepRule.fixed(h)`` a given finite h > 0.
+    """
+
     fixed_h: float | None = None
-    resolved_h: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (STEP_C2_OPTIMAL, STEP_HOLDER_OPTIMAL, STEP_FIXED):
-            raise ParameterError(f"unknown step rule kind {self.kind!r}")
-        if self.kind == STEP_FIXED and not (self.fixed_h or 0) > 0:
-            raise ParameterError("a fixed step rule needs fixed_h > 0")
-        if self.resolved_h is not None and not self.resolved_h > 0:
-            raise ParameterError(f"resolved_h must be > 0, got {self.resolved_h}")
-
-    @classmethod
-    def for_spec(cls, spec: SmoothnessSpec) -> "StepRule":
-        if spec.kind is SpecKind.C2:
-            return cls(STEP_C2_OPTIMAL)
-        if spec.kind is SpecKind.HOLDER:
-            return cls(STEP_HOLDER_OPTIMAL)
-        raise UnstableFamilyError(_UNSTABLE_EXPLANATION)
+        h = self.fixed_h
+        if h is not None and not (math.isfinite(h) and h > 0):
+            raise ParameterError(f"a fixed step must be finite and > 0, got {h}")
 
     @classmethod
     def fixed(cls, h: float) -> "StepRule":
-        return cls(STEP_FIXED, fixed_h=h, resolved_h=h)
+        return cls(fixed_h=h)
 
-    def resolve(self, delta: float, spec: SmoothnessSpec) -> "StepRule":
-        """Return a copy with resolved_h filled in against (delta, spec)."""
-        if self.kind == STEP_FIXED:
-            return self
-        if self.kind == STEP_C2_OPTIMAL:
-            h = optimal_step_c2(delta, spec.bound)
-        else:
-            h = optimal_step_holder(delta, spec.exponent, spec.bound)
-        return StepRule(self.kind, resolved_h=h)
+    def resolve(self, delta: float, spec: SmoothnessSpec) -> tuple[float, float]:
+        """(h, bound): the step and the worst-case sup error of the central difference at it.
+
+        At the optimum the bound is error_bound_c2 / error_bound_holder; at a fixed
+        h it is delta/h + m2*h/2 (C2) or delta/h + m*h**a (Holder), which stays
+        valid for exact data (delta = 0). Only the optimum refuses delta = 0.
+        """
+        if spec.kind in (SpecKind.M0, SpecKind.M1):
+            raise UnstableFamilyError(_UNSTABLE_EXPLANATION)
+        if not delta >= 0:
+            raise ParameterError(f"delta must be >= 0, got {delta}")
+        h = self.fixed_h
+        if h is not None:
+            if spec.kind is SpecKind.C2:
+                return h, delta / h + spec.bound * h / 2.0
+            return h, delta / h + spec.bound * h**spec.exponent
+        if delta == 0:
+            raise DegenerateInputError(
+                "delta = 0 gives a degenerate optimal step; with exact data use a plain "
+                "central difference at a step of your choosing (StepRule.fixed)"
+            )
+        if spec.kind is SpecKind.C2:
+            return optimal_step_c2(delta, spec.bound), error_bound_c2(delta, spec.bound)
+        return (optimal_step_holder(delta, spec.exponent, spec.bound),
+                error_bound_holder(delta, spec.exponent, spec.bound))
 
 
 @dataclass(eq=False)
@@ -197,27 +205,6 @@ class EstimateReport:
         write_float_csv(path, header, columns)
 
 
-def _bound_at_step(spec: SmoothnessSpec, delta: float, h: float) -> float:
-    """The worst-case error at an arbitrary step h, not only at the optimum.
-
-    delta/h + m2*h/2 for C2 and delta/h + m*h**a for Holder; at the optimal
-    step this equals error_bound_c2 / error_bound_holder up to rounding.
-    """
-    if spec.kind is SpecKind.C2:
-        return delta / h + spec.bound * h / 2.0
-    return delta / h + spec.bound * h**spec.exponent
-
-
-def _gate_spec_and_delta(spec: SmoothnessSpec, delta: float) -> None:
-    if spec.kind in (SpecKind.M0, SpecKind.M1):
-        raise UnstableFamilyError(_UNSTABLE_EXPLANATION)
-    if delta == 0:
-        raise DegenerateInputError(
-            "delta = 0 gives a degenerate optimal step; with exact data use a plain "
-            "central difference at a step of your choosing (StepRule.fixed)"
-        )
-
-
 def estimate(
     oracle: NoisyOracle,
     spec: SmoothnessSpec,
@@ -226,31 +213,20 @@ def estimate(
 ) -> EstimateReport:
     """Estimate f' at ``points`` from noisy data with a guaranteed sup bound.
 
-    Resolves the optimal step for the declared family (C2 or Holder), applies
-    the central difference, and reports the matching worst-case bound. A
-    step rule other than the family's optimum (``StepRule.fixed``) gets the
-    bound recomputed at the h it uses. Points whose stencil [x-h, x+h] is
-    not finite and inside the closed domain (NaN, ±inf) are dropped and
-    counted, not switched to one-sided differences. When the base oracle carries an
-    exact derivative, per-point absolute errors and their max are filled in.
+    ``step_rule.resolve`` (default ``StepRule()``, the declared family's optimum)
+    gives the step h and the worst-case bound at that h; the central difference
+    does the rest. Points whose stencil [x-h, x+h] is not finite and inside the
+    closed domain (NaN, ±inf) are dropped and counted, not switched to one-sided
+    differences. When the base oracle carries an exact derivative, per-point
+    absolute errors and their max are filled in.
     """
-    _gate_spec_and_delta(spec, oracle.delta)
-    optimal = StepRule.for_spec(spec)
-    rule = (step_rule or optimal).resolve(oracle.delta, spec)
-    h = rule.resolved_h
+    h, bound = (step_rule or StepRule()).resolve(oracle.delta, spec)
 
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     if pts.ndim != 1:
         raise ParameterError(f"points must be a scalar or a 1-D array, got shape {pts.shape}")
     kept = pts[_stencil_in_domain(oracle.base.domain, pts - h, pts + h)]
     dropped = int(len(pts) - len(kept))
-
-    if rule.kind != optimal.kind:
-        bound = _bound_at_step(spec, oracle.delta, h)
-    elif spec.kind is SpecKind.C2:
-        bound = error_bound_c2(oracle.delta, spec.bound)
-    else:
-        bound = error_bound_holder(oracle.delta, spec.exponent, spec.bound)
 
     if len(kept) == 0:
         return EstimateReport(
@@ -284,12 +260,10 @@ def estimate_on_grid(signal: GridSignal, spec: SmoothnessSpec) -> EstimateReport
     The ideal step h* is snapped to h = k*spacing with k = max(1,
     round-half-up(h*/spacing)); ties round to the larger k because a larger h
     shrinks the noise term delta/h, the dominant risk when delta is only an
-    upper estimate. Since h != h* in general, the reported bound is recomputed
-    at the snapped h (delta/h + m2*h/2 for C2, delta/h + m*h**a for Holder)
-    rather than quoting the closed-form optimum.
+    upper estimate. Since h != h* in general, the reported bound is the one
+    at the snapped h (``StepRule.fixed(h)``), not the closed-form optimum.
     """
-    _gate_spec_and_delta(spec, signal.delta)
-    ideal = StepRule.for_spec(spec).resolve(signal.delta, spec).resolved_h
+    ideal, _ = StepRule().resolve(signal.delta, spec)
 
     k = max(1, int(np.floor(ideal / signal.spacing + 0.5)))
     n = len(signal)
@@ -297,7 +271,7 @@ def estimate_on_grid(signal: GridSignal, spec: SmoothnessSpec) -> EstimateReport
         raise GridTooShortError(
             f"snapped stencil needs {2 * k + 1} samples but the signal has {n}"
         )
-    h = k * signal.spacing
+    h, bound = StepRule.fixed(k * signal.spacing).resolve(signal.delta, spec)
 
     values = signal.values
     estimates = (values[2 * k :] - values[: n - 2 * k]) / (2.0 * h)
@@ -306,7 +280,7 @@ def estimate_on_grid(signal: GridSignal, spec: SmoothnessSpec) -> EstimateReport
     return EstimateReport(
         points=points,
         estimates=estimates,
-        h_used=float(h),
-        guaranteed_bound=float(_bound_at_step(spec, signal.delta, h)),
+        h_used=h,
+        guaranteed_bound=bound,
         dropped_points=2 * k,  # the boundary samples that get no estimate
     )

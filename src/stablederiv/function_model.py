@@ -328,11 +328,6 @@ class NoisyOracle:
         return float(out) if np.isscalar(x) else out
 
 
-def eval_noisy(oracle: NoisyOracle, x: float | np.ndarray) -> float | np.ndarray:
-    """Functional alias for :meth:`NoisyOracle.eval_noisy`."""
-    return oracle.eval_noisy(x)
-
-
 # ---------------------------------------------------------------------------
 # sampled signals
 # ---------------------------------------------------------------------------
@@ -485,22 +480,6 @@ def estimate_holder_seminorm(
             ratios = np.where(dx > 0, dv / dx**a, 0.0)
         best = max(best, float(np.max(ratios)))
     return best
-
-
-def estimate_holder_norm(
-    g: FunctionOracle,
-    a: float,
-    probe_window: tuple[float, float],
-    grid_points: int = 512,
-) -> float:
-    """Holder norm = seminorm + sup|g| on the window.
-
-    Estimators consume the seminorm alone; the full norm is exposed because
-    declaring it instead keeps every bound valid, just slightly loose.
-    """
-    semi = estimate_holder_seminorm(g, a, probe_window, grid_points)
-    sup = estimate_sup_norm(g, "f", grid_points, window=probe_window)
-    return semi + sup
 
 
 def estimate_second_derivative_sup(

@@ -13,7 +13,9 @@ other modules consume. The sharp constant depends on the domain:
 The crossover length 2*sqrt(m0/m2) is where the short-interval expression
 meets the half-line constant; below it the interval is too short for the
 half-line extremals to fit and the additive rule is the better (and valid)
-bound.
+bound. Only the ends of the :class:`Domain` matter: both infinite is the whole
+line, one infinite (either side) a half line, both finite an interval of
+length hi - lo (E. Landau, Proc. London Math. Soc. (2) 13, 1913).
 """
 
 from __future__ import annotations
@@ -22,44 +24,11 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapabilityError, ParameterError
-from .function_model import FunctionOracle, estimate_sup_norm
+from .function_model import Domain, FunctionOracle, estimate_sup_norm
 
 WHOLE_LINE = "whole-line"
 HALF_LINE = "half-line"
 SHORT_INTERVAL = "short-interval"
-
-_DOMAIN_KINDS = ("whole-line", "half-line", "interval")
-
-
-@dataclass(frozen=True)
-class DomainSpec:
-    """Domain the inequality is taken over; ``length`` only for intervals."""
-
-    kind: str
-    length: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _DOMAIN_KINDS:
-            raise ParameterError(
-                f"domain kind must be one of {_DOMAIN_KINDS}, got {self.kind!r}"
-            )
-        if self.kind == "interval":
-            if self.length is None or not self.length > 0:
-                raise ParameterError("interval domains need a length > 0")
-        elif self.length is not None:
-            raise ParameterError(f"{self.kind} domains take no length")
-
-    @classmethod
-    def whole_line(cls) -> "DomainSpec":
-        return cls("whole-line")
-
-    @classmethod
-    def half_line(cls) -> "DomainSpec":
-        return cls("half-line")
-
-    @classmethod
-    def interval(cls, length: float) -> "DomainSpec":
-        return cls("interval", length=length)
 
 
 @dataclass(frozen=True)
@@ -76,7 +45,7 @@ class InequalityResult:
     threshold_length: float
 
 
-def m1_bound(m0: float, m2: float, domain: DomainSpec) -> InequalityResult:
+def m1_bound(m0: float, m2: float, domain: Domain) -> InequalityResult:
     """Certified bound on sup|f'| given sup|f| <= m0 and sup|f''| <= m2.
 
     m2 = 0 is allowed on unbounded domains: a bounded function with f'' = 0
@@ -93,32 +62,32 @@ def m1_bound(m0: float, m2: float, domain: DomainSpec) -> InequalityResult:
     else:
         threshold = 0.0 if m0 == 0 else math.inf
 
-    if domain.kind == "interval":
+    if domain.is_bounded:
         if m2 == 0:
             raise ParameterError(
                 "m2 = 0 on a finite interval does not determine a derivative "
                 "bound from m0 alone (linear functions have arbitrary slope)"
             )
-        if domain.length < threshold:
-            bound = (2.0 / domain.length) * m0 + (domain.length / 2.0) * m2
+        length = domain.hi - domain.lo
+        if length < threshold:
+            bound = (2.0 / length) * m0 + (length / 2.0) * m2
             return InequalityResult(bound, SHORT_INTERVAL, threshold)
         return InequalityResult(2.0 * math.sqrt(m0 * m2), HALF_LINE, threshold)
 
     # unbounded domains: bounded + f''==0 forces f constant, f' == 0
-    if domain.kind == "half-line":
-        return InequalityResult(2.0 * math.sqrt(m0 * m2), HALF_LINE, threshold)
-    return InequalityResult(math.sqrt(2.0 * m0 * m2), WHOLE_LINE, threshold)
+    if domain == Domain.real_line():
+        return InequalityResult(math.sqrt(2.0 * m0 * m2), WHOLE_LINE, threshold)
+    return InequalityResult(2.0 * math.sqrt(m0 * m2), HALF_LINE, threshold)
 
 
 def verify_against(
     oracle: FunctionOracle,
     m0: float,
     m2: float,
-    domain: DomainSpec,
     window: tuple[float, float] | None = None,
     grid_points: int = 2001,
 ) -> tuple[bool, float, InequalityResult]:
-    """Check a concrete function against the inequality by dense sampling.
+    """Check a concrete function against the inequality on its own domain by dense sampling.
 
     Returns (holds, measured_sup_derivative, result). ``holds`` allows a
     relative 1e-6 plus absolute 1e-9 slack so a function that attains the
@@ -129,7 +98,7 @@ def verify_against(
         raise CapabilityError(
             f"oracle {oracle.name!r} has no derivative attached; nothing to verify"
         )
-    result = m1_bound(m0, m2, domain)
+    result = m1_bound(m0, m2, oracle.domain)
     measured = estimate_sup_norm(oracle, "f'", grid_points=grid_points, window=window)
     holds = measured <= result.bound_m1 + 1e-9 + 1e-6 * result.bound_m1
     return holds, measured, result

@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 from stablederiv import (
-    DomainSpec,
+    Domain,
     SmoothnessSpec,
     StudyConfig,
     build_zoo,
@@ -159,20 +159,18 @@ def test_c5_worked_counterexample_pair():
 
 def test_c6_first_derivative_bounds():
     with reported("C6 (m0,m2) -> m1 bounds: worked values, corpus, extremal pair"):
-        assert m1_bound(1.0, 1.0, DomainSpec.whole_line()).bound_m1 == math.sqrt(2.0)
-        assert m1_bound(1.0, 1.0, DomainSpec.half_line()).bound_m1 == 2.0
-        assert m1_bound(1.0, 1.0, DomainSpec.interval(1.0)).bound_m1 == 2.5
+        assert m1_bound(1.0, 1.0, Domain.real_line()).bound_m1 == math.sqrt(2.0)
+        assert m1_bound(1.0, 1.0, Domain.half_line()).bound_m1 == 2.0
+        assert m1_bound(1.0, 1.0, Domain.interval(0.0, 1.0)).bound_m1 == 2.5
 
         for key in ("sin", "exp-decay"):
             entry = get_corpus_function(key)
-            holds, measured, result = verify_against(
-                entry.oracle, entry.m0, entry.m2, DomainSpec.whole_line()
-            )
+            holds, measured, result = verify_against(entry.oracle, entry.m0, entry.m2)
             assert holds, f"{key}: measured {measured} vs bound {result.bound_m1}"
 
         # the counterexample wave attains the whole-line bound up to probe error
         pair = make_pair(0.005, 1.0)
-        bound = m1_bound(0.005, 1.0, DomainSpec.whole_line()).bound_m1
+        bound = m1_bound(0.005, 1.0, Domain.real_line()).bound_m1
         measured = estimate_sup_norm(pair.f1, "f'", grid_points=4001, window=(-0.2, 0.2))
         assert 0.999 <= measured / bound <= 1.0
 

@@ -9,6 +9,7 @@ import pytest
 
 from stablederiv import (
     ConfigurationError,
+    Domain,
     EstimateReport,
     InsufficientDataError,
     NoisyOracle,
@@ -86,10 +87,10 @@ def test_parse_spec_forms():
 
 
 def test_parse_domain_forms():
-    assert parse_domain("real").kind == "whole-line"
-    assert parse_domain("whole-line").kind == "whole-line"
-    assert parse_domain("half").kind == "half-line"
-    assert parse_domain("interval:2.5").length == 2.5
+    assert parse_domain("real") == Domain.real_line()
+    assert parse_domain("whole-line") == Domain.real_line()
+    assert parse_domain("half") == Domain.half_line()
+    assert parse_domain("interval:2.5") == Domain.interval(0.0, 2.5)
     for bad in ("circle", "interval", "interval:-1"):
         with pytest.raises(ConfigurationError):
             parse_domain(bad)
@@ -244,6 +245,29 @@ def test_dispatch_bound_interval(capsys):
     assert "m1_bound=2.5" in out and "rule=short-interval" in out
 
 
+# recorded before m1_bound took a Domain; every accepted --domain keeps these bytes
+_THRESHOLD = " threshold_length=2.9277002188455996\n"
+_BOUND_STDOUT = {
+    "real": "m1_bound=1.4491376746189437 rule=whole-line" + _THRESHOLD,
+    "half": "m1_bound=2.0493901531919194 rule=half-line" + _THRESHOLD,
+    "interval:0.5": "m1_bound=6.175 rule=short-interval" + _THRESHOLD,
+    "interval:1e-300": "m1_bound=2.9999999999999996e+300 rule=short-interval" + _THRESHOLD,
+    "interval:inf": "m1_bound=2.0493901531919194 rule=half-line" + _THRESHOLD,
+}
+
+
+@pytest.mark.parametrize(
+    "domain", [*_BOUND_STDOUT, "interval", "interval:0", "interval:-1", "interval:nan", "circle"]
+)
+def test_dispatch_bound_stdout_is_pinned(capsys, domain):
+    code = cli_dispatch(["bound", "--m0", "1.5", "--m2", "0.7", "--domain", domain])
+    out = capsys.readouterr().out
+    if domain in _BOUND_STDOUT:
+        assert (code, out) == (0, _BOUND_STDOUT[domain])
+    else:
+        assert (code, out) == (1, "")
+
+
 def test_dispatch_adversary_zero_estimator(capsys):
     code = cli_dispatch(
         ["adversary", "--delta", "0.005", "--M", "1", "--estimator", "zero", "--scan"]
@@ -339,9 +363,10 @@ def test_dispatch_estimate_refuses_infinite_points(capsys, points):
 def test_dispatch_estimate_prints_plain_float_reprs(monkeypatch, tmp_path, capsys):
     real_estimate = cli.estimate
 
-    def with_numpy_scalars(oracle, spec, points, step_rule):
+    def with_numpy_scalars(oracle, spec, points):
         oracle = NoisyOracle(base=oracle.base, delta=np.float64(oracle.delta), noise=oracle.noise)
-        return real_estimate(oracle, spec, points, StepRule.fixed(np.float64(step_rule.resolved_h)))
+        h, _ = StepRule().resolve(oracle.delta, spec)
+        return real_estimate(oracle, spec, points, StepRule.fixed(np.float64(h)))
 
     monkeypatch.setattr(cli, "estimate", with_numpy_scalars)
     out_csv = tmp_path / "report.csv"

@@ -178,24 +178,28 @@ def test_central_difference_stencil_domain_check():
 
 def test_step_rule_resolution():
     spec = SmoothnessSpec.c2(1.0)
-    rule = StepRule.for_spec(spec).resolve(0.02, spec)
-    assert rule.resolved_h == pytest.approx(0.2, rel=1e-15)
+    h, bound = StepRule().resolve(0.02, spec)
+    assert h == pytest.approx(0.2, rel=1e-15)
+    assert bound == error_bound_c2(0.02, 1.0)
 
     hspec = SmoothnessSpec.holder(0.5, 1.0)
-    hrule = StepRule.for_spec(hspec).resolve(1e-3, hspec)
-    assert hrule.resolved_h == pytest.approx(optimal_step_holder(1e-3, 0.5, 1.0), rel=1e-15)
+    h, bound = StepRule().resolve(1e-3, hspec)
+    assert h == optimal_step_holder(1e-3, 0.5, 1.0)
+    assert bound == error_bound_holder(1e-3, 0.5, 1.0)
 
-    fixed = StepRule.fixed(0.25)
-    assert fixed.resolve(123.0, spec).resolved_h == 0.25
+    assert StepRule.fixed(0.25).resolve(123.0, spec) == (0.25, 123.0 / 0.25 + 0.25 / 2.0)
+    assert StepRule.fixed(0.25).resolve(123.0, hspec) == (0.25, 123.0 / 0.25 + 0.25**0.5)
 
 
 def test_step_rule_validation():
-    with pytest.raises(ParameterError):
-        StepRule("newton")
-    with pytest.raises(ParameterError):
-        StepRule.fixed(0.0)
-    with pytest.raises(UnstableFamilyError):
-        StepRule.for_spec(SmoothnessSpec.m0(1.0))
+    for bad_h in (0.0, -1.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            StepRule.fixed(bad_h)
+    for rule in (StepRule(), StepRule.fixed(0.1)):
+        with pytest.raises(UnstableFamilyError):
+            rule.resolve(1e-3, SmoothnessSpec.m0(1.0))
+        with pytest.raises(ParameterError):
+            rule.resolve(-1e-3, SmoothnessSpec.c2(1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +220,20 @@ def test_estimate_rejects_zero_delta():
     noisy = NoisyOracle(base=sin, delta=0.0, noise=NoNoise())
     with pytest.raises(DegenerateInputError):
         estimate(noisy, SmoothnessSpec.c2(1.0), [0.0])
+
+
+@pytest.mark.parametrize(
+    "spec,bound", [(SmoothnessSpec.c2(1.0), 5e-4), (SmoothnessSpec.holder(1.0, 1.0), 1e-3)]
+)
+def test_fixed_step_runs_on_exact_data(spec, bound):
+    # delta = 0 leaves only the truncation term: m2*h/2 (C2) or m*h**a (Holder)
+    sin = get_corpus_function("sin").oracle
+    noisy = NoisyOracle(base=sin, delta=0.0, noise=NoNoise())
+    pts = np.linspace(-3, 3, 301)
+    report = estimate(noisy, spec, pts, step_rule=StepRule.fixed(1e-3))
+    assert report.h_used == 1e-3
+    assert report.guaranteed_bound == pytest.approx(bound, rel=1e-15)
+    assert 0 < report.measured_sup_error < 2e-7
 
 
 def test_estimate_sin_within_bound():
@@ -409,18 +427,18 @@ class TestGuaranteeMatrix:
     @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6])
     def test_measured_error_never_exceeds_bound(self, name, spec, delta):
         entry = get_corpus_function(name)
-        rule = StepRule.for_spec(spec).resolve(delta, spec)
+        h, _ = StepRule().resolve(delta, spec)
         noises = [
             NoNoise(),
             UniformHashNoise(seed=3),
             ConstantSignNoise(+1),
             ConstantSignNoise(-1),
-            CosineAdversarialNoise(h_ref=rule.resolved_h),
+            CosineAdversarialNoise(h_ref=h),
         ]
         points = np.linspace(-3, 3, 301)
         for noise in noises:
             noisy = NoisyOracle(base=entry.oracle, delta=delta, noise=noise)
-            report = estimate(noisy, spec, points, step_rule=rule)
+            report = estimate(noisy, spec, points)
             assert report.measured_sup_error <= report.guaranteed_bound, (
                 f"{name} under {noise.name} at delta={delta}"
             )

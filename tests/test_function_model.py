@@ -22,11 +22,9 @@ from stablederiv import (
     SmoothnessSpec,
     SpecKind,
     UniformHashNoise,
-    estimate_holder_norm,
     estimate_holder_seminorm,
     estimate_second_derivative_sup,
     estimate_sup_norm,
-    eval_noisy,
     noise_from_name,
 )
 from stablederiv import function_model
@@ -211,7 +209,6 @@ def test_eval_noisy_zero_noise_identity():
     square = FunctionOracle(eval=lambda x: np.asarray(x, dtype=float) ** 2)
     noisy = NoisyOracle(base=square, delta=0.0, noise=NoNoise())
     assert noisy.eval_noisy(1.5) == 2.25
-    assert eval_noisy(noisy, 1.5) == 2.25
 
 
 def test_eval_noisy_constant_sign_offset():
@@ -388,13 +385,6 @@ def test_holder_seminorm_argument_checks():
         estimate_holder_seminorm(g, 0.5, (1, -1), 65)
     with pytest.raises(ParameterError):
         estimate_holder_seminorm(g, 0.5, (-1, 1), 1)
-
-
-def test_holder_norm_is_seminorm_plus_sup():
-    g = FunctionOracle(eval=lambda x: np.asarray(x, dtype=float))
-    semi = estimate_holder_seminorm(g, 1.0, (-2.0, 2.0), 101)
-    sup = estimate_sup_norm(g, "f", 101, window=(-2.0, 2.0))
-    assert estimate_holder_norm(g, 1.0, (-2.0, 2.0), 101) == pytest.approx(semi + sup)
 
 
 def test_second_derivative_probe_on_sin_and_quadratic():

@@ -66,10 +66,10 @@ class AdversarialPair:
 
 def make_pair(delta: float, derivative_budget: float) -> AdversarialPair:
     """Build the two-function counterexample for accuracy delta, budget M."""
-    if not delta > 0:
-        raise ParameterError(f"delta must be > 0, got {delta}")
-    if not derivative_budget > 0:
-        raise ParameterError(f"derivative budget must be > 0, got {derivative_budget}")
+    if not 0 < delta < math.inf:
+        raise ParameterError(f"delta must be finite and > 0, got {delta}")
+    if not 0 < derivative_budget < math.inf:
+        raise ParameterError(f"derivative budget must be finite and > 0, got {derivative_budget}")
     big_m = derivative_budget
     h = math.sqrt(2.0 * delta / big_m)
 
@@ -96,8 +96,8 @@ def make_pair(delta: float, derivative_budget: float) -> AdversarialPair:
 
 def lower_bound(delta: float, derivative_budget: float) -> float:
     """Error floor sqrt(2*delta*M): no estimator beats this on the pair."""
-    if not delta > 0 or not derivative_budget > 0:
-        raise ParameterError("delta and derivative budget must both be > 0")
+    if not (0 < delta < math.inf and 0 < derivative_budget < math.inf):
+        raise ParameterError("delta and derivative budget must both be finite and > 0")
     return math.sqrt(2.0 * delta * derivative_budget)
 
 

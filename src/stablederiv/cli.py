@@ -20,7 +20,6 @@ configurations produce bit-identical output (seeds included).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,6 +34,7 @@ from .errors import (
     InsufficientDataError,
     ParameterError,
     StableDerivError,
+    UnstableFamilyError,
 )
 from .estimator import StepRule, estimate, estimate_on_grid
 from .function_model import (
@@ -50,10 +50,8 @@ from .function_model import (
 )
 from .inequalities import m1_bound
 
-# Experiments measure sup error over this window unless overridden by the
-# --window flag or the STABLEDERIV_PROBE_WINDOW environment variable.
+# A study's sup-error window when none is given (the CLI's --window default).
 DEFAULT_STUDY_WINDOW = (-3.0, 3.0)
-PROBE_WINDOW_ENV = "STABLEDERIV_PROBE_WINDOW"
 
 # Validation slack for declared smoothness bounds: the brute-force probes
 # slightly undershoot true sups, so only a clear excess is a refusal.
@@ -66,29 +64,28 @@ _VALIDATION_ATOL = 1e-9
 # ---------------------------------------------------------------------------
 
 
-def parse_window(text: str) -> tuple[float, float]:
-    """``lo:hi`` -> (lo, hi) with lo < hi."""
+def _fields(text: str, what: str, form: str, *types: type) -> tuple:
+    """Split ``text`` on ':' into one field per entry of ``types``, converted by it."""
     parts = text.split(":")
-    if len(parts) != 2:
-        raise ConfigurationError(f"expected a window 'lo:hi', got {text!r}")
+    if len(parts) != len(types):
+        raise ConfigurationError(f"expected {what} {form!r}, got {text!r}")
     try:
-        lo, hi = float(parts[0]), float(parts[1])
+        return tuple(convert(part) for convert, part in zip(types, parts))
     except ValueError as exc:
-        raise ConfigurationError(f"bad window {text!r}: {exc}") from exc
-    if not lo < hi:
-        raise ConfigurationError(f"window must satisfy lo < hi, got {text!r}")
+        raise ConfigurationError(f"bad {what} {text!r}: {exc}") from exc
+
+
+def parse_window(text: str) -> tuple[float, float]:
+    """``lo:hi`` -> (lo, hi) with finite lo < hi."""
+    lo, hi = _fields(text, "window", "lo:hi", float, float)
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ConfigurationError(f"window needs finite lo < hi, got {text!r}")
     return lo, hi
 
 
 def parse_points(text: str) -> np.ndarray:
     """``lo:hi:count`` -> ``count`` equispaced points on [lo, hi]."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigurationError(f"expected points 'lo:hi:count', got {text!r}")
-    try:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise ConfigurationError(f"bad points {text!r}: {exc}") from exc
+    lo, hi, count = _fields(text, "points", "lo:hi:count", float, float, int)
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi) or count < 1:
         raise ConfigurationError(f"points need finite lo < hi and count >= 1, got {text!r}")
     return np.linspace(lo, hi, count)
@@ -100,54 +97,41 @@ def parse_deltas(text: str) -> tuple[float, ...]:
     The sweep must run downward (start > stop) since a study tracks the
     error as the data improve.
     """
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigurationError(f"expected deltas 'start:stop:count', got {text!r}")
-    try:
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise ConfigurationError(f"bad deltas {text!r}: {exc}") from exc
-    if not (start > 0 and stop > 0):
-        raise ConfigurationError("deltas must be positive")
-    if count < 1:
-        raise ConfigurationError("delta count must be >= 1")
+    start, stop, count = _fields(text, "deltas", "start:stop:count", float, float, int)
+    if not (np.isfinite(start) and np.isfinite(stop) and start > 0 and stop > 0) or count < 1:
+        raise ConfigurationError(f"deltas need finite ends > 0 and count >= 1, got {text!r}")
     return tuple(float(d) for d in np.logspace(np.log10(start), np.log10(stop), count))
 
 
 def parse_spec(text: str) -> SmoothnessSpec:
-    """Parse a smoothness declaration.
+    """Parse a smoothness declaration: ``c2:m2=<v>`` or ``holder:a=<a>,m=<m>``.
 
-    Forms: ``c2:m2=<v>``, ``holder:a=<a>,m=<m>``, ``m0:<v>``, ``m1:<v>``
-    (the last two exist so the refusal path is reachable from the CLI).
+    ``m0:...`` and ``m1:...`` (sup|f| or sup|f'| alone) raise
+    :class:`UnstableFamilyError`, so the refusal is reachable from the CLI.
     """
-    kind, sep, rest = text.partition(":")
+    kind, _, rest = text.partition(":")
     kind = kind.strip().lower()
+    if kind in ("m0", "m1"):
+        raise UnstableFamilyError()
     params: dict[str, float] = {}
-    if sep:
+    if rest:
         for item in rest.split(","):
-            key, eq, val = item.partition("=")
+            key, _, val = item.partition("=")
             try:
-                if not eq:  # bare value, e.g. "m0:0.5"
-                    params["bound"] = float(key)
-                else:
-                    params[key.strip()] = float(val)
+                params[key.strip()] = float(val)
             except ValueError as exc:
                 raise ConfigurationError(f"bad spec {text!r}: {exc}") from exc
     try:
         if kind == "c2":
-            return SmoothnessSpec.c2(params["m2"] if "m2" in params else params["bound"])
+            return SmoothnessSpec.c2(params["m2"])
         if kind == "holder":
             return SmoothnessSpec.holder(params["a"], params["m"])
-        if kind == "m0":
-            return SmoothnessSpec.m0(params["bound"] if "bound" in params else params["m0"])
-        if kind == "m1":
-            return SmoothnessSpec.m1(params["bound"] if "bound" in params else params["m1"])
     except KeyError as exc:
         raise ConfigurationError(f"spec {text!r} is missing parameter {exc}") from exc
     except ParameterError as exc:
         raise ConfigurationError(str(exc)) from exc
     raise ConfigurationError(
-        f"unknown spec kind {kind!r}; use c2:m2=<v>, holder:a=<a>,m=<m>, m0:<v>, m1:<v>"
+        f"unknown spec kind {kind!r}; use c2:m2=<v> or holder:a=<a>,m=<m>"
     )
 
 
@@ -169,16 +153,6 @@ def parse_domain(text: str) -> Domain:
     raise ConfigurationError(
         f"unknown domain {text!r}; use real, half, or interval:<length>"
     )
-
-
-def resolve_probe_window(flag_value: str | None) -> tuple[float, float]:
-    """Window precedence: --window flag, then the environment, then default."""
-    if flag_value:
-        return parse_window(flag_value)
-    env = os.environ.get(PROBE_WINDOW_ENV)
-    if env:
-        return parse_window(env)
-    return DEFAULT_STUDY_WINDOW
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +183,9 @@ class StudyConfig:
             raise ConfigurationError("deltas must be strictly decreasing")
         if self.grid_points < 3:
             raise ConfigurationError(f"grid_points must be >= 3, got {self.grid_points}")
-        if not self.window[0] < self.window[1]:
-            raise ConfigurationError(f"bad window {self.window}")
+        lo, hi = self.window
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            raise ConfigurationError(f"window needs finite lo < hi, got {self.window}")
 
 
 @dataclass(frozen=True)
@@ -235,7 +210,7 @@ def _validate_declaration(
     if spec.kind is SpecKind.C2:
         probe = estimate_second_derivative_sup(entry.oracle, window=window)
         label = "sup|f''|"
-    elif spec.kind is SpecKind.HOLDER:
+    else:
         derivative = FunctionOracle(
             eval=entry.oracle.derivative_eval,
             domain=entry.oracle.domain,
@@ -243,14 +218,21 @@ def _validate_declaration(
         )
         probe = estimate_holder_seminorm(derivative, spec.exponent, window)
         label = f"Holder({spec.exponent:g}) seminorm of f'"
-    else:
-        return  # M0/M1 declarations are refused downstream, nothing to validate
     if probe > spec.bound * (1.0 + _VALIDATION_RTOL) + _VALIDATION_ATOL:
         raise ConfigurationError(
             f"declared {label} = {spec.bound} is too small for {entry.key!r}: "
             f"a brute-force probe on {window} measures {probe:.6g}; raise the "
             f"declared bound (or declare a different smoothness family)"
         )
+
+
+def _noisy_oracle(
+    base: FunctionOracle, spec: SmoothnessSpec, delta: float, noise_name: str, seed: int
+) -> NoisyOracle:
+    """One run's noisy oracle, its noise built at the run's optimal step (cosine needs it)."""
+    h, _ = StepRule().resolve(delta, spec)
+    noise = noise_from_name(noise_name, seed=seed, h_ref=h)
+    return NoisyOracle(base=base, delta=delta, noise=noise)
 
 
 def run_study(config: StudyConfig) -> tuple[list[StudyRow], float]:
@@ -273,9 +255,7 @@ def run_study(config: StudyConfig) -> tuple[list[StudyRow], float]:
     points = np.linspace(config.window[0], config.window[1], config.grid_points)
     rows = []
     for delta in config.deltas:
-        h, _ = StepRule().resolve(delta, config.spec)
-        noise = noise_from_name(config.noise_name, seed=config.seed, h_ref=h)
-        oracle = NoisyOracle(base=entry.oracle, delta=delta, noise=noise)
+        oracle = _noisy_oracle(entry.oracle, config.spec, delta, config.noise_name, config.seed)
         report = estimate(oracle, config.spec, points)
         rows.append(
             StudyRow(
@@ -311,9 +291,7 @@ def theory_slope(spec: SmoothnessSpec) -> float:
     """The exponent of the guaranteed bound in delta: 1/2 or a/(1+a)."""
     if spec.kind is SpecKind.C2:
         return 0.5
-    if spec.kind is SpecKind.HOLDER:
-        return spec.exponent / (1.0 + spec.exponent)
-    raise ParameterError(f"no convergence rate exists for spec kind {spec.kind}")
+    return spec.exponent / (1.0 + spec.exponent)
 
 
 def write_study_csv(rows: Sequence[StudyRow], slope: float, path: str | Path) -> None:
@@ -337,16 +315,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         signal = GridSignal.from_csv(args.grid_csv, delta=args.delta)
         report = estimate_on_grid(signal, spec)
     else:
-        entry = corpus.get(args.fn)
-        h, _ = StepRule().resolve(args.delta, spec)
-        noise = noise_from_name(args.noise, seed=args.seed, h_ref=h)
-        oracle = NoisyOracle(base=entry.oracle, delta=args.delta, noise=noise)
-        if args.points is not None:
-            points = parse_points(args.points)
-        else:
-            lo, hi = resolve_probe_window(args.window)
-            points = np.linspace(lo, hi, 201)
-        report = estimate(oracle, spec, points)
+        oracle = _noisy_oracle(corpus.get(args.fn).oracle, spec, args.delta, args.noise, args.seed)
+        report = estimate(oracle, spec, parse_points(args.points))
 
     if args.out:
         report.to_csv(args.out)
@@ -374,7 +344,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
         deltas=parse_deltas(args.deltas),
         noise_name=args.noise,
         seed=args.seed,
-        window=resolve_probe_window(args.window),
+        window=parse_window(args.window),
         grid_points=args.grid_points,
     )
     rows, slope = run_study(config)
@@ -448,8 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--noise", default="uniform-hash",
                        help="none | uniform-hash | cosine-adversarial | constant-sign:+/-")
     p_est.add_argument("--seed", type=int, default=0)
-    p_est.add_argument("--points", help="evaluation points lo:hi:count")
-    p_est.add_argument("--window", help="fallback window lo:hi when --points is absent")
+    p_est.add_argument("--points", default="-3:3:201", help="evaluation points lo:hi:count")
     p_est.add_argument("--out", help="write the report CSV here")
     p_est.set_defaults(handler=_cmd_estimate)
 
@@ -459,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_study.add_argument("--deltas", required=True, help="log-spaced sweep start:stop:count")
     p_study.add_argument("--noise", default="uniform-hash")
     p_study.add_argument("--seed", type=int, default=0)
-    p_study.add_argument("--window", help="sup-error window lo:hi (default -3:3)")
+    p_study.add_argument("--window", default="-3:3", help="sup-error window lo:hi")
     p_study.add_argument("--grid-points", type=int, default=2001)
     p_study.add_argument("--out", help="write the study CSV here")
     p_study.set_defaults(handler=_cmd_study)

@@ -31,6 +31,18 @@ class UnstableFamilyError(StableDerivError):
     shrink as delta does. The library refuses instead of returning garbage.
     """
 
+    def __init__(
+        self,
+        message: str = (
+            "no stable derivative estimator exists under this declaration: knowing only "
+            "sup|f| (or sup|f'|) leaves two functions that match the observed data to "
+            "within delta yet whose derivatives differ by a fixed amount at a point, so "
+            "the worst-case error of every estimator stays bounded away from 0 as delta "
+            "shrinks; declare a second-derivative bound (C2) or a Holder bound on f'"
+        ),
+    ) -> None:
+        super().__init__(message)
+
 
 class DegenerateInputError(StableDerivError, ValueError):
     """delta = 0 has no optimal step; use a fixed step (StepRule.fixed) instead."""

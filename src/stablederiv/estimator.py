@@ -19,12 +19,12 @@ For f whose derivative is Holder-continuous, |f'(y)-f'(x)| <= m*|y-x|**a:
 optimum above or at a fixed h; it dispatches on the declared
 :class:`SmoothnessSpec`, and C2 data always gets the Taylor route because its
 constant beats the a=1 Holder constant by a factor sqrt(2)/2. Declaring only
-sup|f| or sup|f'| is refused outright (:class:`UnstableFamilyError`): under
-that information no estimator whatsoever has a worst-case error that vanishes
-with delta. The ``adversary`` module's C2 wave pair does not show this (its
-derivative gap sqrt(2*delta*M) vanishes with delta); it shows that the C2
-bound is optimal. An executable witness of the impossibility result itself is
-ROADMAP item 5.
+sup|f| or sup|f'| is refused (``SmoothnessSpec.m0``/``m1`` raise
+:class:`UnstableFamilyError`): under that information no estimator whatsoever
+has a worst-case error that vanishes with delta. The ``adversary`` module's
+C2 wave pair does not show this (its derivative gap sqrt(2*delta*M) vanishes
+with delta); it shows that the C2 bound is optimal. An executable witness of
+the impossibility result itself is ROADMAP item 5.
 """
 
 from __future__ import annotations
@@ -35,23 +35,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DegenerateInputError,
-    DomainError,
-    GridTooShortError,
-    ParameterError,
-    UnstableFamilyError,
-)
+from .errors import DegenerateInputError, DomainError, GridTooShortError, ParameterError
 from .function_model import Domain, GridSignal, NoisyOracle, SmoothnessSpec, SpecKind
 from .function_model import write_float_csv
-
-_UNSTABLE_EXPLANATION = (
-    "no stable derivative estimator exists under this declaration: knowing only "
-    "sup|f| (or sup|f'|) leaves two functions that match the observed data to "
-    "within delta yet whose derivatives differ by a fixed amount at a point, so "
-    "the worst-case error of every estimator stays bounded away from 0 as delta "
-    "shrinks; declare a second-derivative bound (C2) or a Holder bound on f'"
-)
 
 
 def _require_positive(**values: float) -> None:
@@ -148,10 +134,8 @@ class StepRule:
         h it is delta/h + m2*h/2 (C2) or delta/h + m*h**a (Holder), which stays
         valid for exact data (delta = 0). Only the optimum refuses delta = 0.
         """
-        if spec.kind in (SpecKind.M0, SpecKind.M1):
-            raise UnstableFamilyError(_UNSTABLE_EXPLANATION)
-        if not delta >= 0:
-            raise ParameterError(f"delta must be >= 0, got {delta}")
+        if not 0 <= delta < math.inf:
+            raise ParameterError(f"delta must be finite and >= 0, got {delta}")
         h = self.fixed_h
         if h is not None:
             if spec.kind is SpecKind.C2:

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, ParameterError
+from .errors import CapabilityError, DomainError, ParameterError, UnstableFamilyError
 
 # Probe window used for sup-norm style estimation when the oracle domain is
 # unbounded. All built-in test functions attain their sups well inside it.
@@ -133,10 +133,8 @@ class FunctionOracle:
 
 
 class SpecKind(str, Enum):
-    """Which a priori norm is declared bounded."""
+    """Which a priori norm is declared bounded: the two families with a stable estimate."""
 
-    M0 = "m0"        # sup|f|
-    M1 = "m1"        # sup|f'|
     C2 = "c2"        # sup|f''|
     HOLDER = "holder"  # Holder seminorm of f' with exponent a in (0, 1]
 
@@ -149,7 +147,7 @@ class SmoothnessSpec:
     only ever uses |f'(y) - f'(x)| <= bound * |y - x|**a; supplying the full
     norm, seminorm + sup, keeps every guarantee valid but slightly loose).
     C2 is handled separately from Holder a=1 because the Taylor-remainder
-    route gives a tighter constant.
+    route gives a tighter constant. ``kind`` may be a string ("c2", "holder").
     """
 
     kind: SpecKind
@@ -157,6 +155,9 @@ class SmoothnessSpec:
     exponent: float | None = None
 
     def __post_init__(self) -> None:
+        if self.kind not in tuple(SpecKind):
+            raise ParameterError(f"unknown smoothness kind {self.kind!r}; use 'c2' or 'holder'")
+        object.__setattr__(self, "kind", SpecKind(self.kind))
         if not self.bound >= 0:
             raise ParameterError(f"smoothness bound must be >= 0, got {self.bound}")
         if self.kind is SpecKind.HOLDER:
@@ -177,11 +178,13 @@ class SmoothnessSpec:
 
     @classmethod
     def m0(cls, bound: float) -> "SmoothnessSpec":
-        return cls(SpecKind.M0, bound)
+        """Always raises UnstableFamilyError: sup|f| alone admits no stable estimate."""
+        raise UnstableFamilyError()
 
     @classmethod
     def m1(cls, bound: float) -> "SmoothnessSpec":
-        return cls(SpecKind.M1, bound)
+        """Always raises UnstableFamilyError: sup|f'| alone admits no stable estimate."""
+        raise UnstableFamilyError()
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,9 @@ def test_make_pair_rejects_nonpositive_inputs():
         make_pair(0.0, 1.0)
     with pytest.raises(ParameterError):
         make_pair(1e-3, -2.0)
+    for delta, big_m in ((math.inf, 1.0), (math.nan, 1.0), (1e-3, math.inf), (1e-3, math.nan)):
+        with pytest.raises(ParameterError):
+            make_pair(delta, big_m)
 
 
 def test_pair_parameter_coupling():
@@ -119,6 +122,9 @@ def test_lower_bound_closed_form_and_limits():
     assert lower_bound(delta, big_m) == pytest.approx(c, rel=1e-12)
     with pytest.raises(ParameterError):
         lower_bound(-1.0, 1.0)
+    for delta, big_m in ((math.inf, 1.0), (1e-3, math.inf)):
+        with pytest.raises(ParameterError):
+            lower_bound(delta, big_m)
 
 
 def test_zoo_composition():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +15,12 @@ from stablederiv import (
     EstimateReport,
     InsufficientDataError,
     NoisyOracle,
-    ParameterError,
     SmoothnessSpec,
     SpecKind,
     StepRule,
     StudyConfig,
     StudyRow,
+    UnstableFamilyError,
     cli_dispatch,
     fit_slope,
     optimal_step_c2,
@@ -28,13 +30,12 @@ from stablederiv import (
 )
 from stablederiv import cli
 from stablederiv.cli import (
-    DEFAULT_STUDY_WINDOW,
+    build_parser,
     parse_deltas,
     parse_domain,
     parse_points,
     parse_spec,
     parse_window,
-    resolve_probe_window,
 )
 
 
@@ -45,7 +46,7 @@ from stablederiv.cli import (
 
 def test_parse_window():
     assert parse_window("-1:2.5") == (-1.0, 2.5)
-    for bad in ("1", "2:1", "a:b", "1:2:3"):
+    for bad in ("1", "2:1", "a:b", "1:2:3", "-inf:inf", "0:nan", "-inf:0"):
         with pytest.raises(ConfigurationError):
             parse_window(bad)
 
@@ -65,7 +66,7 @@ def test_parse_deltas_log_spacing():
     assert deltas[-1] == pytest.approx(1e-7, rel=1e-12)
     ratios = [deltas[i] / deltas[i + 1] for i in range(5)]
     assert all(r == pytest.approx(10.0, rel=1e-9) for r in ratios)
-    for bad in ("1e-2:1e-7", "0:1e-7:6", "1e-2:-1:6", "1e-2:1e-7:0"):
+    for bad in ("1e-2:1e-7", "0:1e-7:6", "1e-2:-1:6", "1e-2:1e-7:0", "inf:1e-5:4"):
         with pytest.raises(ConfigurationError):
             parse_deltas(bad)
 
@@ -78,10 +79,11 @@ def test_parse_spec_forms():
     assert holder.kind is SpecKind.HOLDER
     assert holder.exponent == 0.5 and holder.bound == 2.0
 
-    assert parse_spec("m0:0.5").kind is SpecKind.M0
-    assert parse_spec("m1:m1=0.25").bound == 0.25
+    for unstable in ("m0:0.5", "m1:m1=0.25", "M1:oops"):  # refused before parameters are read
+        with pytest.raises(UnstableFamilyError):
+            parse_spec(unstable)
 
-    for bad in ("c3:m2=1", "c2", "holder:a=0.5", "holder:a=2,m=1", "c2:m2=oops"):
+    for bad in ("c3:m2=1", "c2", "holder:a=0.5", "holder:a=2,m=1", "c2:m2=oops", "c2:1"):
         with pytest.raises(ConfigurationError):
             parse_spec(bad)
 
@@ -94,14 +96,6 @@ def test_parse_domain_forms():
     for bad in ("circle", "interval", "interval:-1"):
         with pytest.raises(ConfigurationError):
             parse_domain(bad)
-
-
-def test_probe_window_precedence(monkeypatch):
-    monkeypatch.delenv("STABLEDERIV_PROBE_WINDOW", raising=False)
-    assert resolve_probe_window(None) == DEFAULT_STUDY_WINDOW
-    monkeypatch.setenv("STABLEDERIV_PROBE_WINDOW", "-5:5")
-    assert resolve_probe_window(None) == (-5.0, 5.0)
-    assert resolve_probe_window("-1:1") == (-1.0, 1.0)  # flag wins over env
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +128,8 @@ def test_study_config_validation():
         _config(grid_points=2)
     with pytest.raises(ConfigurationError):
         _config(window=(1.0, -1.0))
+    with pytest.raises(ConfigurationError):
+        _config(window=(-math.inf, math.inf))
 
 
 def _rows_for(law):
@@ -164,8 +160,6 @@ def test_fit_slope_skips_zero_rows_and_requires_two():
 def test_theory_slope():
     assert theory_slope(SmoothnessSpec.c2(1.0)) == 0.5
     assert theory_slope(SmoothnessSpec.holder(0.5, 1.0)) == pytest.approx(1 / 3)
-    with pytest.raises(ParameterError):
-        theory_slope(SmoothnessSpec.m0(1.0))
 
 
 def test_run_study_basic_contract():
@@ -266,6 +260,26 @@ def test_dispatch_bound_stdout_is_pinned(capsys, domain):
         assert (code, out) == (0, _BOUND_STDOUT[domain])
     else:
         assert (code, out) == (1, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--m0", "nan", "--m2", "1"],
+        ["bound", "--m0", "1", "--m2", "nan", "--domain", "interval:1"],
+        ["adversary", "--delta", "inf", "--M", "1"],
+        ["adversary", "--delta", "1e-3", "--M", "inf"],
+        ["estimate", "--fn", "sin", "--spec", "c2:m2=1", "--delta", "inf"],
+        ["study", "--fn", "sin", "--spec", "c2:m2=1", "--deltas", "1e-2:1e-5:4",
+         "--window=-inf:inf"],
+    ],
+)
+def test_dispatch_refuses_non_finite_inputs(capsys, argv):
+    # a non-finite input is refused up front, never turned into a nan/inf result
+    code = cli_dispatch(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith("error: ")
 
 
 def test_dispatch_adversary_zero_estimator(capsys):
@@ -448,3 +462,23 @@ def test_study_csv_is_deterministic(tmp_path):
     assert cli_dispatch(argv_for("a.csv")) == 0
     assert cli_dispatch(argv_for("b.csv")) == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_commands():
+    """Every ``stablederiv ...`` line of README.md, with ``\\`` continuations joined."""
+    text = README.read_text(encoding="utf-8").replace("\\\n", " ")
+    return [line.strip() for line in text.splitlines() if line.strip().startswith("stablederiv ")]
+
+
+def test_readme_cli_examples_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 5
+    parser = build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README example no longer parses: {command}")

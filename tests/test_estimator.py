@@ -198,8 +198,11 @@ def test_step_rule_validation():
     for rule in (StepRule(), StepRule.fixed(0.1)):
         with pytest.raises(UnstableFamilyError):
             rule.resolve(1e-3, SmoothnessSpec.m0(1.0))
-        with pytest.raises(ParameterError):
-            rule.resolve(-1e-3, SmoothnessSpec.c2(1.0))
+        for bad_delta in (-1e-3, math.inf, math.nan):
+            with pytest.raises(ParameterError):
+                rule.resolve(bad_delta, SmoothnessSpec.c2(1.0))
+    with pytest.raises(ParameterError):  # refused before h is snapped to the grid
+        estimate_on_grid(GridSignal(0.0, 1.0, np.zeros(10), math.inf), SmoothnessSpec.c2(1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +213,9 @@ def test_step_rule_validation():
 def test_estimate_rejects_weak_information():
     sin = get_corpus_function("sin").oracle
     noisy = NoisyOracle(base=sin, delta=1e-3, noise=NoNoise())
-    for spec in (SmoothnessSpec.m0(1.0), SmoothnessSpec.m1(1.0)):
-        with pytest.raises(UnstableFamilyError):
-            estimate(noisy, spec, [0.0])
+    for weak in (SmoothnessSpec.m0, SmoothnessSpec.m1):
+        with pytest.raises(UnstableFamilyError, match="no stable derivative estimator"):
+            estimate(noisy, weak(1.0), [0.0])
 
 
 def test_estimate_rejects_zero_delta():

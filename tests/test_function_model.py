@@ -22,6 +22,7 @@ from stablederiv import (
     SmoothnessSpec,
     SpecKind,
     UniformHashNoise,
+    UnstableFamilyError,
     estimate_holder_seminorm,
     estimate_second_derivative_sup,
     estimate_sup_norm,
@@ -105,8 +106,13 @@ def test_spec_constructors():
     holder = SmoothnessSpec.holder(0.5, 3.0)
     assert holder.kind is SpecKind.HOLDER
     assert holder.exponent == 0.5 and holder.bound == 3.0
-    assert SmoothnessSpec.m0(1.0).kind is SpecKind.M0
-    assert SmoothnessSpec.m1(1.0).kind is SpecKind.M1
+    for weak in (SmoothnessSpec.m0, SmoothnessSpec.m1):
+        with pytest.raises(UnstableFamilyError):
+            weak(1.0)
+    assert SmoothnessSpec("c2", 1.0).kind is SpecKind.C2
+    assert SmoothnessSpec("holder", 1.0, exponent=0.5).kind is SpecKind.HOLDER
+    with pytest.raises(ParameterError):
+        SmoothnessSpec("bogus", 1.0)
 
 
 @pytest.mark.parametrize("bad_a", [0.0, -0.5, 1.0001, None])

@@ -95,6 +95,10 @@ def test_parameter_errors():
         m1_bound(1.0, -1.0, Domain.half_line())
     with pytest.raises(ParameterError):
         m1_bound(1.0, 0.0, Domain.interval(0.0, 1.0))  # threshold undefined
+    with pytest.raises(ParameterError):
+        m1_bound(math.nan, 1.0, Domain.real_line())
+    with pytest.raises(ParameterError):
+        m1_bound(1.0, math.nan, Domain.interval(0.0, 1.0))
 
 
 def test_zero_curvature_on_unbounded_domains():

@@ -116,7 +116,6 @@ class EstimatorHandle:
 
     name: str
     apply: Callable[[NoisyOracle, float], float]
-    description: str = ""
 
 
 def build_zoo() -> list[EstimatorHandle]:
@@ -135,20 +134,11 @@ def build_zoo() -> list[EstimatorHandle]:
 
         return run
 
-    zoo = [EstimatorHandle("zero", lambda obs, at: 0.0, "always answers 0")]
+    zoo = [EstimatorHandle("zero", lambda obs, at: 0.0)]
     for h in (0.01, 0.1, 1.0):
-        zoo.append(
-            EstimatorHandle(
-                f"central-h={h}",
-                lambda obs, at, h=h: central_difference(obs, at, h),
-                f"central difference, half-width {h}",
-            )
-        )
-    zoo.append(
-        EstimatorHandle(
-            "smoothed5-h=0.1", smoothed5(0.1), "5-point least-squares slope, spacing 0.1"
-        )
-    )
+        zoo.append(EstimatorHandle(f"central-h={h}",
+                                   lambda obs, at, h=h: central_difference(obs, at, h)))
+    zoo.append(EstimatorHandle("smoothed5-h=0.1", smoothed5(0.1)))
     return zoo
 
 

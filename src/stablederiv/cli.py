@@ -20,6 +20,7 @@ configurations produce bit-identical output (seeds included).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -116,7 +117,9 @@ def parse_spec(text: str) -> SmoothnessSpec:
     params: dict[str, float] = {}
     if rest:
         for item in rest.split(","):
-            key, _, val = item.partition("=")
+            key, sep, val = item.partition("=")
+            if not sep:
+                raise ConfigurationError(f"bad spec {text!r}: expected key=value, got {item!r}")
             try:
                 params[key.strip()] = float(val)
             except ValueError as exc:
@@ -136,11 +139,11 @@ def parse_spec(text: str) -> SmoothnessSpec:
 
 
 def parse_domain(text: str) -> Domain:
-    """``real``/``whole-line``, ``half``/``half-line``, or ``interval:<L>`` = [0, L]."""
+    """``real``, ``half``, or ``interval:<L>`` = [0, L]."""
     key = text.strip().lower()
-    if key in ("real", "whole-line", "line", "r"):
+    if key == "real":
         return Domain.real_line()
-    if key in ("half", "half-line"):
+    if key == "half":
         return Domain.half_line()
     if key.startswith("interval"):
         _, sep, rest = key.partition(":")
@@ -310,6 +313,9 @@ def write_study_csv(rows: Sequence[StudyRow], slope: float, path: str | Path) ->
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    if not args.delta > 0:
+        raise ConfigurationError(f"--delta must be > 0, got {args.delta!r}: the CLI "
+                                 "always takes the optimal step, which needs delta > 0")
     spec = parse_spec(args.spec)
     if args.grid_csv is not None:
         signal = GridSignal.from_csv(args.grid_csv, delta=args.delta)
@@ -402,7 +408,9 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared after: do not change it."""
     parser = argparse.ArgumentParser(
         prog="stablederiv",
         description="Stable numerical differentiation of noisy data with certified bounds.",

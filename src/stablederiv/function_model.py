@@ -158,8 +158,8 @@ class SmoothnessSpec:
         if self.kind not in tuple(SpecKind):
             raise ParameterError(f"unknown smoothness kind {self.kind!r}; use 'c2' or 'holder'")
         object.__setattr__(self, "kind", SpecKind(self.kind))
-        if not self.bound >= 0:
-            raise ParameterError(f"smoothness bound must be >= 0, got {self.bound}")
+        if not 0 <= self.bound < math.inf:
+            raise ParameterError(f"smoothness bound must be finite and >= 0, got {self.bound}")
         if self.kind is SpecKind.HOLDER:
             if self.exponent is None or not 0.0 < self.exponent <= 1.0:
                 raise ParameterError(
@@ -287,24 +287,24 @@ def noise_from_name(
 ) -> NoiseModel:
     """Build a noise model from its CLI-facing name.
 
-    Accepted names: ``none``, ``uniform-hash`` (alias ``uniform``),
-    ``cosine-adversarial`` (alias ``cosine``; requires ``h_ref``),
-    ``constant-sign:+`` / ``constant-sign:-`` (aliases ``plus`` / ``minus``).
+    Accepted names: ``none``, ``uniform-hash``, ``cosine-adversarial``
+    (requires ``h_ref``), ``constant-sign:+`` and ``constant-sign:-``.
     """
     key = name.strip().lower()
     if key == "none":
         return NoNoise()
-    if key in ("uniform-hash", "uniform"):
+    if key == "uniform-hash":
         return UniformHashNoise(seed=seed)
-    if key in ("cosine-adversarial", "cosine"):
+    if key == "cosine-adversarial":
         if h_ref is None:
             raise ParameterError("cosine-adversarial noise needs a reference step h_ref")
         return CosineAdversarialNoise(h_ref=h_ref)
-    if key in ("constant-sign:+", "plus"):
+    if key == "constant-sign:+":
         return ConstantSignNoise(+1)
-    if key in ("constant-sign:-", "minus"):
+    if key == "constant-sign:-":
         return ConstantSignNoise(-1)
-    raise ParameterError(f"unknown noise model {name!r}")
+    raise ParameterError(f"unknown noise model {name!r}; use none, uniform-hash, "
+                         "cosine-adversarial, constant-sign:+ or constant-sign:-")
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,7 @@ def test_challenge_zoo_never_beats_the_floor():
 
 
 def test_challenge_arithmetic_for_a_biased_answer():
-    fixed = EstimatorHandle("biased", lambda obs, at: 0.05, "always answers 0.05")
+    fixed = EstimatorHandle("biased", lambda obs, at: 0.05)
     (rec,) = challenge([fixed], 0.005, 1.0)
     assert rec.err_f1 == pytest.approx(0.05, rel=1e-12)  # |0.05 - 0.1|
     assert rec.err_f2 == pytest.approx(0.15, rel=1e-12)  # |0.05 + 0.1|

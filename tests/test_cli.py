@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -88,12 +92,18 @@ def test_parse_spec_forms():
             parse_spec(bad)
 
 
+@pytest.mark.parametrize("text", ["c2:1", "holder:0.5", "holder:a=0.5,1"])
+def test_parse_spec_asks_for_key_value(text):
+    with pytest.raises(ConfigurationError, match="expected key=value"):
+        parse_spec(text)
+
+
 def test_parse_domain_forms():
     assert parse_domain("real") == Domain.real_line()
-    assert parse_domain("whole-line") == Domain.real_line()
     assert parse_domain("half") == Domain.half_line()
     assert parse_domain("interval:2.5") == Domain.interval(0.0, 2.5)
-    for bad in ("circle", "interval", "interval:-1"):
+    # the rule names printed by `bound` are not domain names
+    for bad in ("circle", "interval", "interval:-1", "whole-line", "line", "r", "half-line"):
         with pytest.raises(ConfigurationError):
             parse_domain(bad)
 
@@ -282,6 +292,37 @@ def test_dispatch_refuses_non_finite_inputs(capsys, argv):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--fn", "sin", "--spec", "c2:m2=inf", "--delta", "1e-4"],
+        ["estimate", "--fn", "sin", "--spec", "holder:a=0.5,m=inf", "--delta", "1e-4"],
+        ["study", "--fn", "sin", "--spec", "c2:m2=inf", "--deltas", "1e-2:1e-5:4"],
+        ["study", "--fn", "holder:a=0.5", "--spec", "holder:a=0.5,m=inf",
+         "--deltas", "1e-2:1e-5:4"],
+    ],
+)
+def test_dispatch_refuses_an_infinite_smoothness_bound(capsys, argv):
+    code = cli_dispatch(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert "smoothness bound must be finite" in captured.err and "got inf" in captured.err
+
+
+@pytest.mark.parametrize("source", ["fn", "grid-csv"])
+def test_dispatch_estimate_refuses_zero_delta_in_cli_terms(tmp_path, capsys, source):
+    from stablederiv import GridSignal
+
+    signal = tmp_path / "sig.csv"
+    GridSignal(x0=0.0, spacing=0.01, values=np.zeros(11), delta=0.0).to_csv(signal)
+    given = ["--fn", "sin"] if source == "fn" else ["--grid-csv", str(signal)]
+    code = cli_dispatch(["estimate", *given, "--spec", "c2:m2=1", "--delta", "0"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert "optimal step" in captured.err and "delta > 0" in captured.err
+    assert "StepRule" not in captured.err
+
+
 def test_dispatch_adversary_zero_estimator(capsys):
     code = cli_dispatch(
         ["adversary", "--delta", "0.005", "--M", "1", "--estimator", "zero", "--scan"]
@@ -443,7 +484,7 @@ def test_dispatch_study_writes_csv_and_slope(tmp_path, capsys):
     code = cli_dispatch(
         [
             "study", "--fn", "sin", "--spec", "c2:m2=1", "--deltas", "1e-2:1e-5:4",
-            "--noise", "cosine", "--grid-points", "501", "--out", str(out_csv),
+            "--noise", "cosine-adversarial", "--grid-points", "501", "--out", str(out_csv),
         ]
     )
     assert code == 0
@@ -462,6 +503,96 @@ def test_study_csv_is_deterministic(tmp_path):
     assert cli_dispatch(argv_for("a.csv")) == 0
     assert cli_dispatch(argv_for("b.csv")) == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+_BOUND = ["bound", "--m0", "1", "--m2", "1"]
+_ESTIMATE = ["estimate", "--fn", "sin", "--spec", "c2:m2=1", "--delta", "1e-4", "--points=-1:1:5"]
+_STUDY = ["study", "--fn", "sin", "--spec", "c2:m2=1", "--deltas", "1e-2:1e-5:4",
+          "--grid-points", "101"]
+_ADVERSARY = ["adversary", "--delta", "0.005", "--M", "1"]
+
+
+def test_dispatch_builds_no_parser_after_the_first_call(monkeypatch, capsys):
+    cli_dispatch(_BOUND)
+    built = []  # every ArgumentParser constructed from here on, subparsers included
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    calls = [
+        _ESTIMATE, [*_ESTIMATE, "--noise", "none"], [*_ESTIMATE, "--seed", "9"],
+        _STUDY, [*_STUDY, "--noise", "none"], [*_STUDY, "--seed", "9"],
+        _ADVERSARY, [*_ADVERSARY, "--estimator", "zero"], [*_ADVERSARY, "--M", "2"],
+        _BOUND, [*_BOUND, "--domain", "half"], [*_BOUND, "--domain", "interval:1"],
+    ]
+    codes = [cli_dispatch(argv) for argv in calls]
+    capsys.readouterr()
+    assert codes == [0] * 12
+    assert built == []
+
+
+def test_import_builds_no_parser():
+    # importing the package must stay free of CLI set-up work
+    probe = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import stablederiv\n"
+        "print(len(built))\n"
+    )
+    path = [str(Path(cli.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert done.stdout == "0\n"
+
+
+def test_dispatch_results_do_not_depend_on_call_order(capsys):
+    # the call with default --noise/--seed runs before the one that sets them in
+    # the first order and after it in the second, so a value left in the shared
+    # parser shows
+    argvs = [
+        _ESTIMATE,
+        ["estimate", "--fn", "sin", "--delta", "1e-4"],  # usage error: no --spec
+        ["study", "--help"],
+        [*_ADVERSARY, "--scan"],
+        [*_ADVERSARY, "--estimator", "zero"],
+        [*_BOUND, "--domain", "half"],
+        _BOUND,
+        [*_ESTIMATE, "--noise", "cosine-adversarial", "--seed", "3"],
+    ]
+
+    def run_each(order):
+        results = {}
+        for argv in order:
+            code = cli_dispatch(argv)
+            captured = capsys.readouterr()
+            results[tuple(argv)] = (code, captured.out, captured.err)
+        return results
+
+    forward, backward = run_each(argvs), run_each(argvs[::-1])
+    assert forward == backward
+    assert {code for code, _, _ in forward.values()} == {0, 1}
+
+
+def test_dispatch_out_does_not_carry_over_to_the_next_call(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli_dispatch([*_ESTIMATE, "--out", "report.csv"]) == 0
+    (tmp_path / "report.csv").unlink()
+    assert cli_dispatch(_ESTIMATE) == 0
+    capsys.readouterr()
+    assert list(tmp_path.iterdir()) == []
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

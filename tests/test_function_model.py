@@ -121,6 +121,15 @@ def test_spec_holder_exponent_range(bad_a):
         SmoothnessSpec(SpecKind.HOLDER, 1.0, exponent=bad_a)
 
 
+@pytest.mark.parametrize(
+    "build", [lambda: SmoothnessSpec.c2(math.inf), lambda: SmoothnessSpec.holder(0.5, math.inf)]
+)
+def test_spec_refuses_an_infinite_bound(build):
+    # an infinite bound would resolve to the degenerate step h = 0
+    with pytest.raises(ParameterError, match="bound must be finite and >= 0, got inf"):
+        build()
+
+
 def test_spec_rejects_negative_bound_and_stray_exponent():
     with pytest.raises(ParameterError):
         SmoothnessSpec.c2(-1.0)
@@ -194,16 +203,17 @@ class TestUniformHashNoise:
 
 def test_noise_from_name_aliases():
     assert isinstance(noise_from_name("none"), NoNoise)
-    assert isinstance(noise_from_name("uniform"), UniformHashNoise)
     assert isinstance(noise_from_name("uniform-hash", seed=5), UniformHashNoise)
-    cos = noise_from_name("cosine", h_ref=0.25)
+    cos = noise_from_name("cosine-adversarial", h_ref=0.25)
     assert isinstance(cos, CosineAdversarialNoise) and cos.h_ref == 0.25
     assert noise_from_name("constant-sign:+").unit(np.zeros(1))[0] == 1.0
-    assert noise_from_name("minus").unit(np.zeros(1))[0] == -1.0
+    assert noise_from_name("constant-sign:-").unit(np.zeros(1))[0] == -1.0
     with pytest.raises(ParameterError):
-        noise_from_name("cosine")  # no reference step
-    with pytest.raises(ParameterError):
-        noise_from_name("gaussian")
+        noise_from_name("cosine-adversarial")  # no reference step
+    # only the canonical names are accepted; the old aliases are refused
+    for bad in ("gaussian", "uniform", "cosine", "plus", "minus"):
+        with pytest.raises(ParameterError):
+            noise_from_name(bad)
 
 
 # ---------------------------------------------------------------------------

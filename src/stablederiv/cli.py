@@ -201,8 +201,27 @@ class StudyRow:
     seed: int
 
 
+@functools.lru_cache(maxsize=64)
+def _probe(function: str, kind: SpecKind, exponent: float | None,
+           window: tuple[float, float]) -> float:
+    """The brute-force probe value for a declaration, computed once per process.
+
+    It depends only on these arguments (not on delta, seed, noise or the
+    declared bound), so it is cached; the verdict is not. ``function`` is the
+    name given to ``corpus.get``, because ``CorpusEntry.key`` rounds the exponent.
+    """
+    oracle = corpus.get(function).oracle
+    if kind is SpecKind.C2:
+        return estimate_second_derivative_sup(oracle, window=window)
+    derivative = FunctionOracle(
+        eval=oracle.derivative_eval, domain=oracle.domain, name=f"{oracle.name} derivative"
+    )
+    return estimate_holder_seminorm(derivative, exponent, window)
+
+
 def _validate_declaration(
-    entry: corpus.CorpusEntry, spec: SmoothnessSpec, window: tuple[float, float]
+    function: str, entry: corpus.CorpusEntry, spec: SmoothnessSpec,
+    window: tuple[float, float],
 ) -> None:
     """Refuse a study whose declared bound the brute-force oracles contradict.
 
@@ -210,17 +229,8 @@ def _validate_declaration(
     run starts; a clear excess of the probe over the declaration is a
     configuration error, not a later "violation".
     """
-    if spec.kind is SpecKind.C2:
-        probe = estimate_second_derivative_sup(entry.oracle, window=window)
-        label = "sup|f''|"
-    else:
-        derivative = FunctionOracle(
-            eval=entry.oracle.derivative_eval,
-            domain=entry.oracle.domain,
-            name=f"{entry.key} derivative",
-        )
-        probe = estimate_holder_seminorm(derivative, spec.exponent, window)
-        label = f"Holder({spec.exponent:g}) seminorm of f'"
+    probe = _probe(function, spec.kind, spec.exponent, tuple(map(float, window)))
+    label = "sup|f''|" if spec.kind is SpecKind.C2 else f"Holder({spec.exponent:g}) seminorm of f'"
     if probe > spec.bound * (1.0 + _VALIDATION_RTOL) + _VALIDATION_ATOL:
         raise ConfigurationError(
             f"declared {label} = {spec.bound} is too small for {entry.key!r}: "
@@ -253,7 +263,7 @@ def run_study(config: StudyConfig) -> tuple[list[StudyRow], float]:
             f"corpus function {config.function!r} has no exact derivative; "
             "studies need one to measure true errors"
         )
-    _validate_declaration(entry, config.spec, config.window)
+    _validate_declaration(config.function, entry, config.spec, config.window)
 
     points = np.linspace(config.window[0], config.window[1], config.grid_points)
     rows = []
@@ -381,6 +391,8 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
             known = ", ".join(e.name for e in build_zoo())
             raise ConfigurationError(f"unknown estimator {args.estimator!r}; known: {known}")
     records = challenge(zoo, args.delta, args.M)
+    if args.out:
+        write_challenges_csv(records, args.out)
     for r in records:
         print(
             f"estimator={r.estimator} b={r.answer!r} worst={r.worst!r} "
@@ -389,8 +401,6 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
     if args.scan:
         best_b, best_worst = pointwise_bound_scan(args.delta, args.M)
         print(f"scan_best_b={best_b!r} scan_best_worst={best_worst!r}")
-    if args.out:
-        write_challenges_csv(records, args.out)
     return 0
 
 
@@ -474,7 +484,7 @@ def cli_dispatch(argv: Sequence[str] | None = None) -> int:
         return 0 if code == 0 else 1
     try:
         return args.handler(args)
-    except StableDerivError as exc:
+    except (StableDerivError, OSError) as exc:  # OSError: a missing input or unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -99,6 +99,10 @@ def central_difference(oracle: NoisyOracle, x: float | np.ndarray, h: float):
             f"central-difference stencil of half-width {h} leaves the domain "
             f"[{oracle.base.domain.lo}, {oracle.base.domain.hi}]"
         )
+    collapsed = left == right  # x - h and x + h round to the same float
+    if np.any(collapsed):
+        raise ParameterError(f"the stencil at x = {xs[collapsed].flat[0]} has width 0 in "
+                             f"floating point for h = {h}; |x| is too large for this step")
     out = (oracle.eval_noisy(right) - oracle.eval_noisy(left)) / (2.0 * h)
     return float(out) if np.isscalar(x) else out
 

@@ -390,7 +390,10 @@ class GridSignal:
     def from_csv(cls, path: str | Path, delta: float) -> "GridSignal":
         """Read a ``x,value`` CSV; the grid must be uniform to ~1e-9 relative."""
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+            try:
+                rows = list(csv.reader(fh))
+            except (UnicodeDecodeError, csv.Error) as exc:
+                raise ParameterError(f"{path}: not a readable UTF-8 CSV ({exc})") from exc
         if not rows or [c.strip() for c in rows[0]] != ["x", "value"]:
             raise ParameterError(f"{path}: expected CSV header 'x,value'")
         body = [r for r in rows[1:] if r and not r[0].startswith("#")]

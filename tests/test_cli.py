@@ -415,6 +415,42 @@ def test_dispatch_estimate_refuses_infinite_points(capsys, points):
     assert "points need finite lo < hi" in captured.err
 
 
+def test_dispatch_estimate_refuses_a_collapsed_stencil(capsys):
+    # x +- h rounds to x at |x| = 1e300: an honest declaration used to end in exit 2
+    code = cli_dispatch(
+        ["estimate", "--fn", "sin", "--spec", "c2:m2=1", "--delta", "1e-4",
+         "--points=1e300:2e300:2"]
+    )
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith("error: the stencil at x = 1e+300 has width 0")
+    assert "h = 0.01414213562373095" in captured.err
+
+
+@pytest.mark.parametrize(
+    "case", ["missing-grid", "not-utf-8", "oversized-cell", "estimate-out", "study-out",
+             "adversary-out"],
+)
+def test_dispatch_reports_file_errors_in_one_line(tmp_path, capsys, case):
+    grid = tmp_path / "grid.csv"
+    if case == "not-utf-8":
+        grid.write_bytes(b"x,value\n0.0,1.0\n0.1,\xff\n0.2,2.0\n")
+    elif case == "oversized-cell":
+        grid.write_text("x,value\n0.0," + "1" * 131_073 + "\n")
+    unwritable = str(tmp_path / "no-such-dir" / "out.csv")
+    argv = {
+        "estimate-out": [*_ESTIMATE, "--out", unwritable],
+        "study-out": [*_STUDY, "--out", unwritable],
+        "adversary-out": [*_ADVERSARY, "--out", unwritable],
+    }.get(case, ["estimate", "--grid-csv", str(grid), "--delta", "1e-3", "--spec", "c2:m2=1"])
+    code = cli_dispatch(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+    assert (unwritable if case.endswith("-out") else str(grid)) in err
+
+
 def test_dispatch_estimate_prints_plain_float_reprs(monkeypatch, tmp_path, capsys):
     real_estimate = cli.estimate
 
@@ -593,6 +629,72 @@ def test_dispatch_out_does_not_carry_over_to_the_next_call(tmp_path, monkeypatch
     assert cli_dispatch(_ESTIMATE) == 0
     capsys.readouterr()
     assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# one declaration probe per process
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    """Empty the probe cache, then record each call into the brute-force probes."""
+    cli._probe.cache_clear()
+    calls = []
+    for name in ("estimate_holder_seminorm", "estimate_second_derivative_sup"):
+        def counting(*args, _real=getattr(cli, name), _name=name, **kwargs):
+            calls.append((_name, args[-1] if _name == "estimate_holder_seminorm"
+                          else kwargs["window"]))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counting)
+    yield calls
+    cli._probe.cache_clear()
+
+
+def _holder_config(m=1.0, **overrides):
+    return _config(function="holder:a=0.5", spec=SmoothnessSpec.holder(0.5, m), **overrides)
+
+
+def test_study_probes_each_declaration_once(probes):
+    # delta, seed, noise and the declared m differ; function, family and window do not
+    run_study(_holder_config())
+    run_study(_holder_config(m=2.0, deltas=(1e-3, 1e-4, 1e-5, 1e-6), seed=5,
+                             noise_name="cosine-adversarial"))
+    run_study(_config())
+    run_study(_config(spec=SmoothnessSpec.c2(3.0), seed=9, noise_name="uniform-hash"))
+    assert probes == [("estimate_holder_seminorm", (-3.0, 3.0)),
+                      ("estimate_second_derivative_sup", (-3.0, 3.0))]
+
+
+@pytest.mark.parametrize("order", ["honest-first", "dishonest-first"])
+def test_cached_probe_still_judges_every_declared_bound(probes, order):
+    def outcome(m):
+        try:
+            run_study(_holder_config(m=m))
+        except ConfigurationError as exc:
+            return str(exc)
+        return "accepted"
+
+    cold = {}
+    for m in (1.0, 0.3):
+        cli._probe.cache_clear()
+        cold[m] = outcome(m)
+    assert cold[1.0] == "accepted" and "is too small for 'holder:a=0.5'" in cold[0.3]
+    cli._probe.cache_clear()
+    probes.clear()
+    ms = (1.0, 0.3) if order == "honest-first" else (0.3, 1.0)
+    assert {m: outcome(m) for m in ms} == cold
+    assert len(probes) == 1
+
+
+def test_distinct_names_and_windows_probe_separately(probes):
+    # CorpusEntry.key prints both exponents as 'holder:a=0.5'; the cache key must not
+    run_study(_holder_config())
+    run_study(_config(function="holder:a=0.5000001", spec=SmoothnessSpec.holder(0.5, 1.0)))
+    run_study(_holder_config(window=(-2.0, 3.0)))
+    run_study(_holder_config(window=[-2, 3]))  # the same window, given as ints
+    assert [window for _, window in probes] == [(-3.0, 3.0), (-3.0, 3.0), (-2.0, 3.0)]
+    assert cli._probe.cache_info().currsize == 3
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -373,12 +373,18 @@ def _domain_step_points(draw):
 def test_estimate_mask_matches_the_per_point_rule(case):
     domain, h, points = case
     noisy = NoisyOracle(base=FunctionOracle(eval=lambda x: 0.0, domain=domain), delta=1e-3)
-    report = estimate(noisy, SmoothnessSpec.c2(1.0), points, step_rule=StepRule.fixed(h))
     expected = [
         p for p in points
         if domain.contains(p - h) and domain.contains(p + h)
         and math.isfinite(p - h) and math.isfinite(p + h)
     ]
+    collapsed = [p for p in expected if p - h == p + h]
+    if collapsed:  # a kept point whose stencil rounds to width 0 is refused, then taken out
+        with pytest.raises(ParameterError, match="width 0"):
+            estimate(noisy, SmoothnessSpec.c2(1.0), points, step_rule=StepRule.fixed(h))
+        points = [p for p in points if p not in collapsed]
+        expected = [p for p in expected if p not in collapsed]
+    report = estimate(noisy, SmoothnessSpec.c2(1.0), points, step_rule=StepRule.fixed(h))
     assert report.points.tobytes() == np.array(expected, dtype=float).tobytes()
     assert report.dropped_points == len(points) - len(expected)
 
@@ -576,6 +582,18 @@ def test_infinite_points_are_dropped_and_refused_by_central_difference():
     for x in (-np.inf, np.inf, np.array([0.0, np.inf])):
         with pytest.raises(DomainError):
             central_difference(noisy, x, 1e-2)
+
+
+def test_collapsed_stencil_is_refused_naming_x_and_h():
+    # at |x| = 1e300, x - h and x + h round to x: the quotient would be 0 whatever f' is
+    sin = get_corpus_function("sin").oracle
+    noisy = NoisyOracle(base=sin, delta=1e-4, noise=UniformHashNoise(seed=3))
+    for x in (1e300, np.array([0.0, -1e300])):
+        with pytest.raises(ParameterError, match=r"x = -?1e\+300 .* h = 0\.01;"):
+            central_difference(noisy, x, 0.01)
+    with pytest.raises(ParameterError, match="width 0"):
+        estimate(noisy, SmoothnessSpec.c2(1.0), [0.0, 1e300, 2e300])
+    assert central_difference(noisy, 1e10, 0.01) is not None  # width nonzero: computed
 
 
 def test_report_csv_without_truth_omits_error_column(tmp_path):

@@ -16,6 +16,7 @@ accepts, with which values, and what it refuses.
 from __future__ import annotations
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -148,13 +149,15 @@ def test_grid_csv_accepted_inputs(tmp_path, text):
         _PLAIN_GRID.replace("\n0.3,2.0", "\n   "),
         "x,value\n0.0,1.0\n0.1,10.0\n",
         "x,value\n0.0,0.0\n0.1,0.0\n0.35,0.0\n",
+        _PLAIN_GRID.encode().replace(b"2.5", b"2\xff5"),
+        _PLAIN_GRID.replace("2.5", "2" * 131_073),
     ],
     ids=["empty-file", "header-only", "blank-before-header", "comment-before-header",
          "extra-header-column", "one-column-row", "non-numeric-cell", "empty-cell",
-         "whitespace-row", "two-samples", "non-uniform"],
+         "whitespace-row", "two-samples", "non-uniform", "not-utf-8", "oversized-cell"],
 )
 def test_grid_csv_refused_inputs(tmp_path, text):
     path = tmp_path / "grid.csv"
-    path.write_bytes(text.encode())
-    with pytest.raises(ParameterError):
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    with pytest.raises(ParameterError, match=f"^{re.escape(str(path))}: "):
         GridSignal.from_csv(path, delta=0.0)

@@ -220,8 +220,7 @@ def _probe(function: str, kind: SpecKind, exponent: float | None,
 
 
 def _validate_declaration(
-    function: str, entry: corpus.CorpusEntry, spec: SmoothnessSpec,
-    window: tuple[float, float],
+    function: str, spec: SmoothnessSpec, window: tuple[float, float]
 ) -> None:
     """Refuse a study whose declared bound the brute-force oracles contradict.
 
@@ -233,7 +232,7 @@ def _validate_declaration(
     label = "sup|f''|" if spec.kind is SpecKind.C2 else f"Holder({spec.exponent:g}) seminorm of f'"
     if probe > spec.bound * (1.0 + _VALIDATION_RTOL) + _VALIDATION_ATOL:
         raise ConfigurationError(
-            f"declared {label} = {spec.bound} is too small for {entry.key!r}: "
+            f"declared {label} = {spec.bound} is too small for {corpus.get(function).key!r}: "
             f"a brute-force probe on {window} measures {probe:.6g}; raise the "
             f"declared bound (or declare a different smoothness family)"
         )
@@ -263,7 +262,7 @@ def run_study(config: StudyConfig) -> tuple[list[StudyRow], float]:
             f"corpus function {config.function!r} has no exact derivative; "
             "studies need one to measure true errors"
         )
-    _validate_declaration(config.function, entry, config.spec, config.window)
+    _validate_declaration(config.function, config.spec, config.window)
 
     points = np.linspace(config.window[0], config.window[1], config.grid_points)
     rows = []

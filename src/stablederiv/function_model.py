@@ -25,9 +25,11 @@ from __future__ import annotations
 import csv
 import math
 from abc import ABC, abstractmethod
+from array import array
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +40,7 @@ from .errors import CapabilityError, DomainError, ParameterError, UnstableFamily
 # unbounded. All built-in test functions attain their sups well inside it.
 DEFAULT_PROBE_WINDOW = (-10.0, 10.0)
 
-_CSV_BLOCK = 65536  # rows formatted and written at a time by write_float_csv
+_CSV_BLOCK = 4096  # rows read by GridSignal.from_csv, or written by write_float_csv, at a time
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +374,9 @@ class GridSignal:
             )
         if not self.spacing > 0:
             raise ParameterError(f"grid spacing must be > 0, got {self.spacing}")
+        if not (math.isfinite(self.x0) and math.isfinite(self.spacing)
+                and np.isfinite(self.values).all()):
+            raise ParameterError("a grid signal needs a finite x0, spacing and values")
         if not self.delta >= 0:
             raise ParameterError(f"delta must be >= 0, got {self.delta}")
 
@@ -388,27 +393,41 @@ class GridSignal:
 
     @classmethod
     def from_csv(cls, path: str | Path, delta: float) -> "GridSignal":
-        """Read a ``x,value`` CSV; the grid must be uniform to ~1e-9 relative."""
+        """Read a ``x,value`` CSV; the grid must be uniform to ~1e-9 relative.
+
+        Rows are read ``_CSV_BLOCK`` at a time, so of several defects the first in file order
+        wins: the header, then each block, where non-UTF-8 bytes or an oversized cell (also in the
+        decoder's few KiB of read-ahead) beat a malformed row. Count, finiteness, spacing come last.
+        """
+        xs, vals = array("d"), array("d")
         with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             try:
-                rows = list(csv.reader(fh))
+                header = [c.strip() for c in next(reader, [])]
+                while header == ["x", "value"] and (rows := list(islice(reader, _CSV_BLOCK))):
+                    body = [r for r in rows if r and not r[0].startswith("#")]
+                    xs.extend([float(r[0]) for r in body])
+                    vals.extend([float(r[1]) for r in body])
             except (UnicodeDecodeError, csv.Error) as exc:
                 raise ParameterError(f"{path}: not a readable UTF-8 CSV ({exc})") from exc
-        if not rows or [c.strip() for c in rows[0]] != ["x", "value"]:
+            except (ValueError, IndexError) as exc:
+                raise ParameterError(f"{path}: malformed row ({exc})") from exc
+        if header != ["x", "value"]:
             raise ParameterError(f"{path}: expected CSV header 'x,value'")
-        body = [r for r in rows[1:] if r and not r[0].startswith("#")]
-        try:
-            xs = np.array([float(r[0]) for r in body])
-            vals = np.array([float(r[1]) for r in body])
-        except (ValueError, IndexError) as exc:
-            raise ParameterError(f"{path}: malformed row ({exc})") from exc
         if len(xs) < 3:
             raise ParameterError(f"{path}: need >= 3 samples, got {len(xs)}")
-        steps = np.diff(xs)
-        spacing = (xs[-1] - xs[0]) / (len(xs) - 1)
-        if spacing <= 0 or np.max(np.abs(steps - spacing)) > 1e-9 * max(abs(spacing), 1.0):
+        xs, vals = np.frombuffer(xs), np.frombuffer(vals)
+        if not (np.isfinite(xs).all() and np.isfinite(vals).all()):
+            raise ParameterError(f"{path}: every x and value must be finite")
+        x0, x1 = float(xs[0]), float(xs[-1])
+        spacing = (x1 - x0) / (len(xs) - 1)  # Python floats overflow to inf without a warning
+        if spacing == math.inf:
+            raise ParameterError(f"{path}: the x span {x0!r} to {x1!r} overflows a float")
+        with np.errstate(over="ignore"):  # an overflowing step is inf, so it is refused
+            off = np.max(np.abs(np.diff(xs) - spacing))
+        if spacing <= 0 or off > 1e-9 * max(spacing, 1.0):
             raise ParameterError(f"{path}: grid is not uniformly spaced")
-        return cls(x0=float(xs[0]), spacing=float(spacing), values=vals, delta=delta)
+        return cls(x0=x0, spacing=spacing, values=vals, delta=delta)
 
 
 # ---------------------------------------------------------------------------

@@ -428,8 +428,8 @@ def test_dispatch_estimate_refuses_a_collapsed_stencil(capsys):
 
 
 @pytest.mark.parametrize(
-    "case", ["missing-grid", "not-utf-8", "oversized-cell", "estimate-out", "study-out",
-             "adversary-out"],
+    "case", ["missing-grid", "not-utf-8", "oversized-cell", "nan-value", "estimate-out",
+             "study-out", "adversary-out"],
 )
 def test_dispatch_reports_file_errors_in_one_line(tmp_path, capsys, case):
     grid = tmp_path / "grid.csv"
@@ -437,6 +437,8 @@ def test_dispatch_reports_file_errors_in_one_line(tmp_path, capsys, case):
         grid.write_bytes(b"x,value\n0.0,1.0\n0.1,\xff\n0.2,2.0\n")
     elif case == "oversized-cell":
         grid.write_text("x,value\n0.0," + "1" * 131_073 + "\n")
+    elif case == "nan-value":  # once accepted with exit 0 and a "certified" bound
+        grid.write_text("x,value\n0.0,1.0\n0.1,nan\n0.2,2.5\n0.3,2.0\n")
     unwritable = str(tmp_path / "no-such-dir" / "out.csv")
     argv = {
         "estimate-out": [*_ESTIMATE, "--out", unwritable],

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,6 +276,10 @@ def test_grid_signal_validation():
         GridSignal(x0=0.0, spacing=0.0, values=np.zeros(5), delta=0.0)
     with pytest.raises(ParameterError):
         GridSignal(x0=0.0, spacing=0.1, values=np.zeros(5), delta=-1.0)
+    for x0, spacing, bad in [(math.nan, 0.1, 0.0), (math.inf, 0.1, 0.0), (0.0, math.inf, 0.0),
+                             (0.0, 0.1, math.nan), (0.0, 0.1, -math.inf)]:
+        with pytest.raises(ParameterError, match="finite x0, spacing and values"):
+            GridSignal(x0=x0, spacing=spacing, values=[0.0, bad, 0.0], delta=0.0)
 
 
 def test_grid_signal_xs():
@@ -318,6 +323,46 @@ def test_write_float_csv_refuses_columns_of_unequal_length(tmp_path):
     with pytest.raises(ValueError):
         write_float_csv(path, ["x", "y"], [np.zeros(3), np.zeros(2)])
     assert not path.exists()
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4096])
+def test_from_csv_gives_the_same_arrays_at_any_block_size(tmp_path, monkeypatch, block):
+    xs = np.linspace(-1.0, 1.0, 21)
+    path = tmp_path / "sig.csv"
+    GridSignal(x0=-1.0, spacing=0.1, values=np.sin(xs), delta=0.0).to_csv(path)
+    lines = path.read_text().splitlines()
+    # comments and blank rows on both sides of every small block boundary
+    path.write_text("\n".join(lines[:1] + ["# c", ""] + lines[1:5] + ["", "#"] + lines[5:] + [""]))
+    want = GridSignal.from_csv(path, delta=0.0)
+    monkeypatch.setattr(function_model, "_CSV_BLOCK", block)
+    got = GridSignal.from_csv(path, delta=0.0)
+    assert (got.x0, got.spacing) == (want.x0, want.spacing)
+    assert got.values.tobytes() == want.values.tobytes() == np.sin(xs).tobytes()
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_csv_memory_does_not_grow_with_objects_per_row(tmp_path):
+    """Reading holds two float buffers (16 bytes a row); writing holds one block of cells."""
+    peaks = {}
+    for n in (20_000, 80_000):
+        xs = -5.0 + 2e-4 * np.arange(n)
+        ys = np.sin(xs)
+        path = tmp_path / f"grid-{n}.csv"
+        write_float_csv(path, ["x", "value"], [xs, ys])
+        out = tmp_path / f"out-{n}.csv"
+        peaks[n] = (_traced_peak(lambda: GridSignal.from_csv(path, delta=0.0)),
+                    _traced_peak(lambda: write_float_csv(out, ["x", "y", "h"], [xs, ys, 0.01])))
+    read_per_row, write_per_row = ((b - a) / 60_000 for a, b in zip(peaks[20_000], peaks[80_000]))
+    assert read_per_row < 64, f"from_csv peak grows {read_per_row:.0f} bytes a row"
+    assert write_per_row < 32, f"write_float_csv peak grows {write_per_row:.0f} bytes a row"
 
 
 def test_grid_signal_csv_rejects_bad_header(tmp_path):

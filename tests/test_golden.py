@@ -9,8 +9,9 @@ The study and CLI reports go through ``np.sin``/``np.cos``; the library and
 grid cases use only correctly rounded arithmetic (+, -, *, /, sqrt) and the
 splitmix hash, so their bytes do not depend on the platform's libm.
 
-The last test pins the input format of ``GridSignal.from_csv``: what it
-accepts, with which values, and what it refuses.
+The last tests pin the input format of ``GridSignal.from_csv``: what it
+accepts, with which values, what it refuses, and which of two defects it
+reports.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from stablederiv import (
     estimate,
 )
 from stablederiv.cli import cli_dispatch
+from stablederiv.function_model import _CSV_BLOCK
 
 STUDY_SHA256 = "8b3d0d5356886ed5cbef3c2d217eb81f1638ab96dec5fdd1ca3b8a5b54ad2034"
 ESTIMATE_SHA256 = "1e14a055c36a11b490302821114a95a17f608b1600429a7f1926eff9b65d0ed3"
@@ -151,13 +153,29 @@ def test_grid_csv_accepted_inputs(tmp_path, text):
         "x,value\n0.0,0.0\n0.1,0.0\n0.35,0.0\n",
         _PLAIN_GRID.encode().replace(b"2.5", b"2\xff5"),
         _PLAIN_GRID.replace("2.5", "2" * 131_073),
+        _PLAIN_GRID.replace("10.0", "nan"),
+        _PLAIN_GRID.replace("10.0", "inf"),
+        _PLAIN_GRID.replace("0.1,", "nan,"),
+        _PLAIN_GRID.replace("0.3,", "inf,"),
+        "x,value\n-1e308,0.0\n0,0.0\n1e308,0.0\n",
     ],
     ids=["empty-file", "header-only", "blank-before-header", "comment-before-header",
          "extra-header-column", "one-column-row", "non-numeric-cell", "empty-cell",
-         "whitespace-row", "two-samples", "non-uniform", "not-utf-8", "oversized-cell"],
+         "whitespace-row", "two-samples", "non-uniform", "not-utf-8", "oversized-cell",
+         "nan-value", "inf-value", "nan-middle-x", "inf-last-x", "overflowing-span"],
 )
 def test_grid_csv_refused_inputs(tmp_path, text):
     path = tmp_path / "grid.csv"
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(ParameterError, match=f"^{re.escape(str(path))}: "):
+        GridSignal.from_csv(path, delta=0.0)
+
+
+def test_grid_csv_two_defects_report_the_earlier_block(tmp_path):
+    # the malformed row opens the first block and the undecodable byte ends the second,
+    # far past the decoder's read-ahead, so the file is refused for the malformed row
+    rows = "".join(f"{k / 10!r},0.0\n" for k in range(2, 2 * _CSV_BLOCK))
+    path = tmp_path / "grid.csv"
+    path.write_bytes(b"x,value\n0.0,abc\n" + rows.encode() + b"0.5,\xff\n")
+    with pytest.raises(ParameterError, match=f"^{re.escape(str(path))}: malformed row"):
         GridSignal.from_csv(path, delta=0.0)

@@ -71,10 +71,9 @@ from .function_model import (
     UniformHashNoise,
     estimate_holder_seminorm,
     estimate_second_derivative_sup,
-    estimate_sup_norm,
     noise_from_name,
 )
-from .inequalities import InequalityResult, m1_bound, verify_against
+from .inequalities import InequalityResult, m1_bound
 from .cli import (
     StudyConfig,
     StudyRow,
@@ -129,7 +128,6 @@ __all__ = [
     "estimate_holder_seminorm",
     "estimate_on_grid",
     "estimate_second_derivative_sup",
-    "estimate_sup_norm",
     "fit_slope",
     "get_corpus_function",
     "lower_bound",
@@ -142,7 +140,6 @@ __all__ = [
     "pointwise_bound_scan",
     "run_study",
     "theory_slope",
-    "verify_against",
     "write_challenges_csv",
     "write_study_csv",
 ]

@@ -39,6 +39,8 @@ from .errors import EstimatorFailure, ParameterError
 from .estimator import central_difference, error_bound_c2
 from .function_model import FunctionOracle, NoisyOracle, NoNoise
 
+_SCAN_CANDIDATES = 10001  # answers b tried by pointwise_bound_scan; odd, so b = 0 is one
+
 
 def _wave(x: np.ndarray, big_m: float, h: float) -> np.ndarray:
     u = np.mod(x + 2.0 * h, 4.0 * h) - 2.0 * h
@@ -196,9 +198,7 @@ def challenge(
     return records
 
 
-def pointwise_bound_scan(
-    delta: float, derivative_budget: float, candidates: int = 10001
-) -> tuple[float, float]:
+def pointwise_bound_scan(delta: float, derivative_budget: float) -> tuple[float, float]:
     """Scan answers b for the minimax reply; returns (best_b, best_worst).
 
     The scan covers [-2*M*h, 2*M*h]; since max(|b - Mh|, |b + Mh|) =
@@ -207,7 +207,7 @@ def pointwise_bound_scan(
     """
     pair = make_pair(delta, derivative_budget)
     gap = pair.derivative_gap
-    bs = np.linspace(-2.0 * gap, 2.0 * gap, candidates)
+    bs = np.linspace(-2.0 * gap, 2.0 * gap, _SCAN_CANDIDATES)
     worst = np.maximum(np.abs(bs - gap), np.abs(bs + gap))
     i = int(np.argmin(worst))
     return float(bs[i]), float(worst[i])

@@ -109,19 +109,27 @@ def parse_spec(text: str) -> SmoothnessSpec:
 
     ``m0:...`` and ``m1:...`` (sup|f| or sup|f'| alone) raise
     :class:`UnstableFamilyError`, so the refusal is reachable from the CLI.
+    A key the kind does not take, or one given twice, is refused.
     """
     kind, _, rest = text.partition(":")
     kind = kind.strip().lower()
     if kind in ("m0", "m1"):
         raise UnstableFamilyError()
+    keys = {"c2": ("m2",), "holder": ("a", "m")}.get(kind)
     params: dict[str, float] = {}
     if rest:
         for item in rest.split(","):
             key, sep, val = item.partition("=")
+            key = key.strip()
             if not sep:
                 raise ConfigurationError(f"bad spec {text!r}: expected key=value, got {item!r}")
+            if keys is not None and key not in keys:
+                raise ConfigurationError(f"bad spec {text!r}: unknown key {key!r}; "
+                                         f"{kind} takes {', '.join(keys)}")
+            if key in params:
+                raise ConfigurationError(f"bad spec {text!r}: key {key!r} is given twice")
             try:
-                params[key.strip()] = float(val)
+                params[key] = float(val)
             except ValueError as exc:
                 raise ConfigurationError(f"bad spec {text!r}: {exc}") from exc
     try:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .function_model import FunctionOracle, SmoothnessSpec
+from .function_model import FunctionOracle
 
 __all__ = ["CorpusEntry", "get", "list_names"]
 
@@ -43,16 +43,6 @@ class CorpusEntry:
     m2: float | None = None
     holder_exponent: float | None = None
     holder_seminorm: float | None = None
-
-    def c2_spec(self) -> SmoothnessSpec:
-        if self.m2 is None:
-            raise ParameterError(f"{self.key!r} has no finite sup|f''|; declare a Holder bound")
-        return SmoothnessSpec.c2(self.m2)
-
-    def holder_spec(self) -> SmoothnessSpec:
-        if self.holder_exponent is None or self.holder_seminorm is None:
-            raise ParameterError(f"{self.key!r} carries no Holder description of f'")
-        return SmoothnessSpec.holder(self.holder_exponent, self.holder_seminorm)
 
 
 def _sin_entry() -> CorpusEntry:

@@ -14,10 +14,11 @@ hashing the bit pattern of the query point together with a seed, never by a
 stateful stream, so a :class:`NoisyOracle` is a well-defined function and
 every experiment is reproducible bit for bit.
 
-The module also houses the numerical oracles used to *verify* declared norms
-on test functions: dense-grid sup-norm estimation and a brute-force Holder
-seminorm maximizer. These are deliberately simple (uniform probe grids, no
-adaptivity); they are test instruments, not shipped guarantees.
+The module also houses the two probes that ``study`` uses to check a
+smoothness declaration against a corpus function before it runs: a
+brute-force Holder seminorm of f' and a difference probe of sup|f''|. Both
+sample a uniform grid on a given window inside the oracle's domain, so they
+read at most the true value there; both refuse a non-finite sample.
 """
 
 from __future__ import annotations
@@ -35,10 +36,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapabilityError, DomainError, ParameterError, UnstableFamilyError
-
-# Probe window used for sup-norm style estimation when the oracle domain is
-# unbounded. All built-in test functions attain their sups well inside it.
-DEFAULT_PROBE_WINDOW = (-10.0, 10.0)
 
 _CSV_BLOCK = 4096  # rows read by GridSignal.from_csv, or written by write_float_csv, at a time
 
@@ -400,7 +397,7 @@ class GridSignal:
         decoder's few KiB of read-ahead) beat a malformed row. Count, finiteness, spacing come last.
         """
         xs, vals = array("d"), array("d")
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = [c.strip() for c in next(reader, [])]
@@ -431,70 +428,47 @@ class GridSignal:
 
 
 # ---------------------------------------------------------------------------
-# norm oracles (test instruments)
+# declaration probes
 # ---------------------------------------------------------------------------
 
+_C2_PROBE_POINTS = 2001  # centres of the sup|f''| probe
+_C2_PROBE_STEP = 1e-3  # half-width of its difference of f'
 
-def _resolve_window(
-    oracle: FunctionOracle, window: tuple[float, float] | None
-) -> tuple[float, float]:
-    if window is not None:
-        lo, hi = float(window[0]), float(window[1])
-        if not lo < hi:
-            raise ParameterError(f"empty probe window [{lo}, {hi}]")
-        oracle.domain.require(np.array([lo, hi]), "probe window")
-        return lo, hi
-    if oracle.domain.is_bounded:
-        return oracle.domain.lo, oracle.domain.hi
-    lo, hi = DEFAULT_PROBE_WINDOW
-    # clip the default window into a half-line domain
-    lo = max(lo, oracle.domain.lo)
-    hi = min(hi, oracle.domain.hi)
+
+def _probe_window(oracle: FunctionOracle, window: tuple[float, float]) -> tuple[float, float]:
+    """``window`` as floats; refused unless finite, ``lo < hi`` and inside the oracle's domain."""
+    lo, hi = float(window[0]), float(window[1])
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ParameterError(f"probe window [{lo}, {hi}] needs finite lo < hi")
+    oracle.domain.require(np.array([lo, hi]), "probe window")
     return lo, hi
 
 
-def estimate_sup_norm(
-    oracle: FunctionOracle,
-    which: str = "f",
-    grid_points: int = 2001,
-    window: tuple[float, float] | None = None,
-) -> float:
-    """Dense-grid estimate of sup|f| (``which="f"``) or sup|f'| (``which="f'"``).
-
-    The estimate is a max over a uniform probe grid, hence monotone
-    nondecreasing under grid refinement and always <= the true sup. For
-    unbounded domains the window defaults to ``DEFAULT_PROBE_WINDOW``.
-    """
-    if which not in ("f", "f'"):
-        raise ParameterError(f"which must be 'f' or \"f'\", got {which!r}")
-    if grid_points < 1:
-        raise ParameterError(f"grid_points must be >= 1, got {grid_points}")
-    lo, hi = _resolve_window(oracle, window)
-    xs = np.linspace(lo, hi, grid_points)
-    vals = oracle.values(xs) if which == "f" else oracle.derivative_values(xs)
-    return float(np.max(np.abs(vals)))
+def _finite_samples(vals: np.ndarray, oracle: FunctionOracle, lo: float, hi: float) -> np.ndarray:
+    if not np.isfinite(vals).all():
+        raise DomainError(f"{oracle.name or 'the function'} is not finite everywhere on the "
+                          f"probe window [{lo}, {hi}]")
+    return vals
 
 
 def estimate_holder_seminorm(
     g: FunctionOracle,
     a: float,
-    probe_window: tuple[float, float],
+    window: tuple[float, float],
     grid_points: int = 512,
 ) -> float:
     """Brute-force Holder seminorm: max over grid pairs of |g(x)-g(y)| / |x-y|**a.
 
-    This is the independent oracle used to validate declared Holder bounds;
-    it scans every pair of distinct grid points (chunked to bound memory).
+    It scans every pair of distinct grid points (chunked to bound memory), so
+    it never exceeds the true seminorm on ``window``.
     """
     if not 0.0 < a <= 1.0:
         raise ParameterError(f"Holder exponent must lie in (0, 1], got {a}")
     if grid_points < 2:
         raise ParameterError(f"grid_points must be >= 2, got {grid_points}")
-    lo, hi = float(probe_window[0]), float(probe_window[1])
-    if not lo < hi:
-        raise ParameterError(f"empty probe window [{lo}, {hi}]")
+    lo, hi = _probe_window(g, window)
     xs = np.linspace(lo, hi, grid_points)
-    vals = g.values(xs)
+    vals = _finite_samples(g.values(xs), g, lo, hi)
     best = 0.0
     chunk = 256
     for start in range(0, grid_points - 1, chunk):
@@ -507,13 +481,8 @@ def estimate_holder_seminorm(
     return best
 
 
-def estimate_second_derivative_sup(
-    oracle: FunctionOracle,
-    window: tuple[float, float] | None = None,
-    grid_points: int = 2001,
-    step: float = 1e-3,
-) -> float:
-    """Probe sup|f''| via central differences of the exact derivative.
+def estimate_second_derivative_sup(oracle: FunctionOracle, window: tuple[float, float]) -> float:
+    """Probe sup|f''| on ``window`` via central differences of the exact derivative.
 
     (f'(x+t) - f'(x-t)) / (2t) is an average of f'' over [x-t, x+t], so the
     probe never exceeds the true sup (up to roundoff); it may undershoot by
@@ -521,11 +490,12 @@ def estimate_second_derivative_sup(
     """
     if oracle.derivative_eval is None:
         raise CapabilityError("sup|f''| probe needs exact-derivative access")
-    lo, hi = _resolve_window(oracle, window)
+    lo, hi = _probe_window(oracle, window)
+    step = _C2_PROBE_STEP
     # keep the probe stencil inside the window (and hence the domain)
     if hi - lo <= 2.0 * step:
         raise ParameterError(f"probe window [{lo}, {hi}] shorter than the stencil 2*{step}")
-    xs = np.linspace(lo + step, hi - step, grid_points)
-    left = oracle.derivative_values(xs - step)
-    right = oracle.derivative_values(xs + step)
+    xs = np.linspace(lo + step, hi - step, _C2_PROBE_POINTS)
+    left = _finite_samples(oracle.derivative_values(xs - step), oracle, lo, hi)
+    right = _finite_samples(oracle.derivative_values(xs + step), oracle, lo, hi)
     return float(np.max(np.abs(right - left))) / (2.0 * step)

@@ -23,8 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CapabilityError, ParameterError
-from .function_model import Domain, FunctionOracle, estimate_sup_norm
+from .errors import ParameterError
+from .function_model import Domain
 
 WHOLE_LINE = "whole-line"
 HALF_LINE = "half-line"
@@ -79,26 +79,3 @@ def m1_bound(m0: float, m2: float, domain: Domain) -> InequalityResult:
         return InequalityResult(math.sqrt(2.0 * m0 * m2), WHOLE_LINE, threshold)
     return InequalityResult(2.0 * math.sqrt(m0 * m2), HALF_LINE, threshold)
 
-
-def verify_against(
-    oracle: FunctionOracle,
-    m0: float,
-    m2: float,
-    window: tuple[float, float] | None = None,
-    grid_points: int = 2001,
-) -> tuple[bool, float, InequalityResult]:
-    """Check a concrete function against the inequality on its own domain by dense sampling.
-
-    Returns (holds, measured_sup_derivative, result). ``holds`` allows a
-    relative 1e-6 plus absolute 1e-9 slack so a function that attains the
-    bound exactly is not flagged by rounding. Oracles without an attached
-    derivative cannot be verified this way.
-    """
-    if oracle.derivative_eval is None:
-        raise CapabilityError(
-            f"oracle {oracle.name!r} has no derivative attached; nothing to verify"
-        )
-    result = m1_bound(m0, m2, oracle.domain)
-    measured = estimate_sup_norm(oracle, "f'", grid_points=grid_points, window=window)
-    holds = measured <= result.bound_m1 + 1e-9 + 1e-6 * result.bound_m1
-    return holds, measured, result

@@ -87,7 +87,8 @@ def test_parse_spec_forms():
         with pytest.raises(UnstableFamilyError):
             parse_spec(unstable)
 
-    for bad in ("c3:m2=1", "c2", "holder:a=0.5", "holder:a=2,m=1", "c2:m2=oops", "c2:1"):
+    for bad in ("c3:m2=1", "c2", "holder:a=0.5", "holder:a=2,m=1", "c2:m2=oops", "c2:1",
+                "c2:m2=1,a=9", "holder:a=0.5,m=1,m2=0.001", "c2:m2=1,m2=4", "c2:m=1"):
         with pytest.raises(ConfigurationError):
             parse_spec(bad)
 
@@ -96,6 +97,25 @@ def test_parse_spec_forms():
 def test_parse_spec_asks_for_key_value(text):
     with pytest.raises(ConfigurationError, match="expected key=value"):
         parse_spec(text)
+
+
+@pytest.mark.parametrize(
+    "fn, text, message",
+    [
+        ("sin", "c2:m2=1,a=9", "unknown key 'a'; c2 takes m2"),
+        ("holder:a=0.5", "holder:a=0.5,m=1,m2=0.001", "unknown key 'm2'; holder takes a, m"),
+        ("sin", "c2:m2=1,m2=4", "key 'm2' is given twice"),
+        ("holder:a=0.5", "holder:a=0.25,m=1, a=0.5", "key 'a' is given twice"),
+    ],
+)
+@pytest.mark.parametrize("command", ["estimate", "study"])
+def test_dispatch_refuses_an_unknown_or_repeated_spec_key(capsys, fn, text, message, command):
+    # each ran with exit 0, the extra key ignored or the last value kept
+    rest = ["--delta", "1e-4"] if command == "estimate" else ["--deltas", "1e-2:1e-5:4"]
+    code = cli_dispatch([command, "--fn", fn, "--spec", text, *rest])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert message in captured.err
 
 
 def test_parse_domain_forms():

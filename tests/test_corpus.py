@@ -1,4 +1,4 @@
-"""The built-in corpus: exact norms cross-checked against the brute-force probes."""
+"""The built-in corpus: exact norms cross-checked by dense sampling and the probes."""
 
 from __future__ import annotations
 
@@ -10,13 +10,16 @@ import pytest
 from stablederiv import (
     FunctionOracle,
     ParameterError,
+    SmoothnessSpec,
     SpecKind,
     corpus_names,
     estimate_holder_seminorm,
     estimate_second_derivative_sup,
-    estimate_sup_norm,
     get_corpus_function,
 )
+
+_XS = np.linspace(-10.0, 10.0, 2001)  # where the corpus functions attain their sups
+_WINDOW = (-10.0, 10.0)
 
 
 def test_list_names_mentions_all_families():
@@ -39,11 +42,11 @@ def test_unknown_names_rejected():
 def test_sin_entry_norms_probe_below_declared():
     entry = get_corpus_function("sin")
     assert (entry.m0, entry.m1, entry.m2) == (1.0, 1.0, 1.0)
-    assert estimate_sup_norm(entry.oracle, "f", 2001) <= entry.m0
-    assert estimate_sup_norm(entry.oracle, "f'", 2001) <= entry.m1
-    assert estimate_second_derivative_sup(entry.oracle) <= entry.m2
+    assert np.max(np.abs(entry.oracle.values(_XS))) <= entry.m0
+    assert np.max(np.abs(entry.oracle.derivative_values(_XS))) <= entry.m1
+    assert estimate_second_derivative_sup(entry.oracle, _WINDOW) <= entry.m2
     # and all three are nearly attained, so the declarations are tight
-    assert estimate_sup_norm(entry.oracle, "f", 2001) == pytest.approx(1.0, abs=1e-4)
+    assert np.max(np.abs(entry.oracle.values(_XS))) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_quadratic_entry():
@@ -70,16 +73,16 @@ def test_exp_decay_entry():
     assert entry.m1 == pytest.approx(expected_m1, rel=1e-15)
     assert entry.m2 == 2.0
 
-    measured_m0 = estimate_sup_norm(entry.oracle, "f", 2001)
+    measured_m0 = np.max(np.abs(entry.oracle.values(_XS)))
     assert measured_m0 == pytest.approx(1.0, abs=1e-12)  # grid contains 0
     assert measured_m0 <= 1.0
 
-    measured_m1 = estimate_sup_norm(entry.oracle, "f'", 2001)
+    measured_m1 = np.max(np.abs(entry.oracle.derivative_values(_XS)))
     assert measured_m1 <= entry.m1 + 1e-12
     assert measured_m1 == pytest.approx(expected_m1, rel=2e-4)
 
-    assert estimate_second_derivative_sup(entry.oracle) <= entry.m2
-    assert estimate_second_derivative_sup(entry.oracle) == pytest.approx(2.0, abs=1e-3)
+    assert estimate_second_derivative_sup(entry.oracle, _WINDOW) <= entry.m2
+    assert estimate_second_derivative_sup(entry.oracle, _WINDOW) == pytest.approx(2.0, abs=1e-3)
 
 
 @pytest.mark.parametrize("a", [0.25, 0.5, 0.75, 1.0])
@@ -102,24 +105,23 @@ def test_holder_entries(a):
 
 
 def test_holder_spec_and_c2_spec_availability():
+    # an honest C2 declaration needs a finite m2, a Holder one both Holder fields
     smooth = get_corpus_function("holder:a=1")
     assert smooth.m2 == 1.0  # a = 1 means f'' = sign(x), bounded
-    assert smooth.c2_spec().bound == 1.0
+    assert SmoothnessSpec.c2(smooth.m2).bound == 1.0
 
     rough = get_corpus_function("holder:a=0.5")
     assert rough.m2 is None  # f'' blows up at 0
-    with pytest.raises(ParameterError):
-        rough.c2_spec()
-    spec = rough.holder_spec()
+    spec = SmoothnessSpec.holder(rough.holder_exponent, rough.holder_seminorm)
     assert spec.kind is SpecKind.HOLDER
     assert spec.exponent == 0.5 and spec.bound == 1.0
 
-    with pytest.raises(ParameterError):
-        get_corpus_function("exp-decay").holder_spec()
+    exp_decay = get_corpus_function("exp-decay")
+    assert exp_decay.holder_exponent is None and exp_decay.holder_seminorm is None
 
 
 def test_sin_specs():
     entry = get_corpus_function("sin")
-    assert entry.c2_spec().kind is SpecKind.C2
-    assert entry.c2_spec().bound == 1.0
-    assert entry.holder_spec().exponent == 1.0
+    assert SmoothnessSpec.c2(entry.m2).kind is SpecKind.C2
+    assert entry.m2 == 1.0
+    assert (entry.holder_exponent, entry.holder_seminorm) == (1.0, 1.0)

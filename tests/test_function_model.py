@@ -26,7 +26,6 @@ from stablederiv import (
     UnstableFamilyError,
     estimate_holder_seminorm,
     estimate_second_derivative_sup,
-    estimate_sup_norm,
     noise_from_name,
 )
 from stablederiv import function_model
@@ -384,30 +383,6 @@ def test_grid_signal_csv_rejects_nonuniform(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_sup_norm_of_sin_approaches_one():
-    got = estimate_sup_norm(_sin_oracle(), "f", grid_points=2001)
-    assert got <= 1.0
-    assert got == pytest.approx(1.0, abs=1e-5)
-
-
-def test_sup_norm_of_zero():
-    assert estimate_sup_norm(FunctionOracle(eval=lambda x: 0.0), "f", 101) == 0.0
-
-
-def test_sup_norm_monotone_under_refinement():
-    f = _sin_oracle()
-    coarse = estimate_sup_norm(f, "f'", grid_points=101)
-    fine = estimate_sup_norm(f, "f'", grid_points=201)  # superset grid
-    assert fine >= coarse
-
-
-def test_sup_norm_argument_checks():
-    with pytest.raises(ParameterError):
-        estimate_sup_norm(_sin_oracle(), "f''", 101)
-    with pytest.raises(CapabilityError):
-        estimate_sup_norm(FunctionOracle(eval=np.sin), "f'", 101)
-
-
 def test_holder_seminorm_constant_is_zero():
     g = FunctionOracle(eval=lambda x: 3.0)
     assert estimate_holder_seminorm(g, 0.5, (-1.0, 1.0), 65) == 0.0
@@ -465,6 +440,42 @@ def test_second_derivative_probe_on_sin_and_quadratic():
 
 def test_second_derivative_probe_argument_checks():
     with pytest.raises(CapabilityError):
-        estimate_second_derivative_sup(FunctionOracle(eval=np.sin))
+        estimate_second_derivative_sup(FunctionOracle(eval=np.sin), window=(-1.0, 1.0))
     with pytest.raises(ParameterError):
         estimate_second_derivative_sup(_sin_oracle(), window=(0.0, 1e-4))
+
+
+def _half_line_identity() -> FunctionOracle:
+    return FunctionOracle(eval=lambda x: np.asarray(x, dtype=float),
+                          derivative_eval=lambda x: np.ones(np.shape(x)), domain=Domain.half_line())
+
+
+@pytest.mark.parametrize("probe", ["holder", "c2"])
+@pytest.mark.parametrize("window, error", [
+    ((1.0, -1.0), ParameterError),
+    ((-math.inf, 1.0), ParameterError),
+    ((0.0, math.nan), ParameterError),
+    ((-1.0, 1.0), DomainError),  # the Holder probe sampled g off its domain and read 0.0
+], ids=["reversed", "infinite", "nan", "off-domain"])
+def test_probes_share_one_window_rule(probe, window, error):
+    with pytest.raises(error, match="probe window"):
+        if probe == "holder":
+            estimate_holder_seminorm(_half_line_identity(), 1.0, window)
+        else:
+            estimate_second_derivative_sup(_half_line_identity(), window)
+
+
+def test_probes_refuse_non_finite_samples():
+    # 50x with NaN above 0.999: the Holder probe skipped the NaN chunk and read 0.0,
+    # the C2 probe read nan, which a declaration check `probe > bound` lets through
+    def steep(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x > 0.999, np.nan, 50.0 * x)
+
+    g = FunctionOracle(eval=steep, name="steep")
+    with pytest.raises(DomainError, match=r"steep is not finite .* \[-1.0, 1.0\]"):
+        estimate_holder_seminorm(g, 1.0, (-1.0, 1.0))
+    f = FunctionOracle(eval=np.sin, derivative_eval=lambda x: steep(x) ** 2 / 100.0)
+    with pytest.raises(DomainError, match=r"probe window \[-1.0, 1.0\]"):
+        estimate_second_derivative_sup(f, (-1.0, 1.0))
+    assert estimate_holder_seminorm(g, 1.0, (-1.0, 0.99)) == pytest.approx(50.0, rel=1e-9)

@@ -124,9 +124,10 @@ _PLAIN_GRID = "x,value\n0.0,1.0\n0.1,10.0\n0.2,2.5\n0.3,2.0\n"
         _PLAIN_GRID.replace("10.0", "1_0"),
         _PLAIN_GRID.replace("0.2,2.5", " 0.2 , 2.5 "),
         _PLAIN_GRID.replace("1.0\n", "1.0,extra\n").replace("2.5", "2.5,,"),
+        "\ufeff" + _PLAIN_GRID,  # the UTF-8 byte-order mark spreadsheets write
     ],
     ids=["plain", "padded-header", "comments-and-blanks", "crlf", "quoted",
-         "underscore-digits", "padded-cells", "extra-columns"],
+         "underscore-digits", "padded-cells", "extra-columns", "bom"],
 )
 def test_grid_csv_accepted_inputs(tmp_path, text):
     path = tmp_path / "grid.csv"

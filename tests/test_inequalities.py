@@ -1,4 +1,4 @@
-"""Derivative bounds from (m0, m2) and their numerical verification."""
+"""Derivative bounds from (m0, m2), checked against densely sampled functions."""
 
 from __future__ import annotations
 
@@ -8,13 +8,11 @@ import numpy as np
 import pytest
 
 from stablederiv import (
-    CapabilityError,
     Domain,
     FunctionOracle,
     ParameterError,
     m1_bound,
     make_pair,
-    verify_against,
 )
 
 
@@ -111,36 +109,30 @@ def test_zero_curvature_on_unbounded_domains():
     assert trivial.threshold_length == 0.0
 
 
+def _sup_derivative(oracle, lo=-10.0, hi=10.0, n=2001):
+    return float(np.max(np.abs(oracle.derivative_values(np.linspace(lo, hi, n)))))
+
+
 def test_verify_against_sin():
     sin = FunctionOracle(eval=np.sin, derivative_eval=np.cos, name="sin")
-    holds, measured, result = verify_against(sin, 1.0, 1.0)
-    assert holds
-    assert measured <= 1.0
+    measured = _sup_derivative(sin)
+    bound = m1_bound(1.0, 1.0, sin.domain).bound_m1
+    assert bound == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert measured <= 1.0 < bound
     assert measured == pytest.approx(1.0, abs=1e-4)
-    assert result.bound_m1 == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
 def test_verify_against_constant():
     const = FunctionOracle(eval=lambda x: 0.7, derivative_eval=lambda x: 0.0)
-    holds, measured, _ = verify_against(const, 0.7, 0.0)
-    assert holds
-    assert measured == 0.0
-
-
-def test_verify_against_needs_derivative():
-    f = FunctionOracle(eval=np.sin)
-    with pytest.raises(CapabilityError):
-        verify_against(f, 1.0, 1.0)
+    assert _sup_derivative(const) == 0.0 == m1_bound(0.7, 0.0, const.domain).bound_m1
 
 
 def test_extremal_pair_attains_the_whole_line_bound():
     # the two-function counterexample built at (delta, M) = (0.005, 1) has
     # sup|f| = 0.005, sup|f''| = 1, sup|f'| = 0.1 = sqrt(2*0.005*1): equality
     pair = make_pair(0.005, 1.0)
-    holds, measured, result = verify_against(
-        pair.f1, 0.005, 1.0, window=(-0.2, 0.2), grid_points=4001
-    )
-    assert holds
-    assert result.bound_m1 == pytest.approx(0.1, rel=1e-15)
-    assert measured / result.bound_m1 >= 0.999
-    assert measured / result.bound_m1 <= 1.0
+    measured = _sup_derivative(pair.f1, -0.2, 0.2, 4001)
+    bound = m1_bound(0.005, 1.0, pair.f1.domain).bound_m1
+    assert bound == pytest.approx(0.1, rel=1e-15)
+    assert measured / bound >= 0.999
+    assert measured / bound <= 1.0

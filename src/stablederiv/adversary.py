@@ -218,12 +218,13 @@ def optimality_witness(delta: float, m2: float) -> tuple[float, float, float]:
 
     The wave pair built with constant m2 satisfies |f''| = m2 on parabola
     interiors, so it lives inside the C2 family the estimator is certified
-    on, and it forces every estimator's worst case up to sqrt(2*delta*m2).
-    That floor equals the guarantee sqrt(2*m2*delta) exactly: ratio 1, i.e.
-    the method is optimal among all estimators, not merely among difference
+    on, and it forces every estimator's worst case up to its derivative gap
+    f1'(0) = m2*h, which ``lower`` reads from the pair itself. That floor
+    equals the guarantee sqrt(2*m2*delta) up to rounding: ratio 1, i.e. the
+    method is optimal among all estimators, not merely among difference
     schemes.
     """
-    low = lower_bound(delta, m2)
+    low = float(make_pair(delta, m2).f1.derivative_values(0.0))
     up = error_bound_c2(delta, m2)
     return low, up, up / low
 

@@ -54,8 +54,8 @@ def m1_bound(m0: float, m2: float, domain: Domain) -> InequalityResult:
     m2 = 0, so that combination is refused rather than silently given a
     convention.
     """
-    if not m0 >= 0 or not m2 >= 0:  # NaN fails too
-        raise ParameterError(f"norm bounds must be >= 0, got m0={m0}, m2={m2}")
+    if not (0 <= m0 < math.inf and 0 <= m2 < math.inf):  # NaN fails too
+        raise ParameterError(f"norm bounds must be finite and >= 0, got m0={m0}, m2={m2}")
 
     if m2 > 0:
         threshold = 2.0 * math.sqrt(m0 / m2)

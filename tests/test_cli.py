@@ -50,7 +50,7 @@ from stablederiv.cli import (
 
 def test_parse_window():
     assert parse_window("-1:2.5") == (-1.0, 2.5)
-    for bad in ("1", "2:1", "a:b", "1:2:3", "-inf:inf", "0:nan", "-inf:0"):
+    for bad in ("1", "2:1", "a:b", "1:2:3", "-inf:inf", "0:nan", "-inf:0", "-1e308:1e308"):
         with pytest.raises(ConfigurationError):
             parse_window(bad)
 
@@ -160,6 +160,8 @@ def test_study_config_validation():
         _config(window=(1.0, -1.0))
     with pytest.raises(ConfigurationError):
         _config(window=(-math.inf, math.inf))
+    with pytest.raises(ConfigurationError):
+        _config(window=(-1e308, 1e308))  # finite ends, but hi - lo overflows
 
 
 def _rows_for(law):
@@ -302,6 +304,9 @@ def test_dispatch_bound_stdout_is_pinned(capsys, domain):
         ["estimate", "--fn", "sin", "--spec", "c2:m2=1", "--delta", "inf"],
         ["study", "--fn", "sin", "--spec", "c2:m2=1", "--deltas", "1e-2:1e-5:4",
          "--window=-inf:inf"],
+        ["study", "--fn", "sin", "--spec", "c2:m2=1", "--deltas", "1e-2:1e-5:4",
+         "--window=-1e308:1e308"],
+        ["bound", "--m0", "inf", "--m2", "0", "--domain", "real"],
     ],
 )
 def test_dispatch_refuses_non_finite_inputs(capsys, argv):
@@ -423,9 +428,11 @@ def test_dispatch_estimate_guarantee_violation_exits_two(capsys):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("points", ["-inf:inf:3", "-inf:0:3", "0:inf:3", "nan:1:3"])
+@pytest.mark.parametrize("points", ["-inf:inf:3", "-inf:0:3", "0:inf:3", "nan:1:3",
+                                    "-1e308:1e308:5"])
 def test_dispatch_estimate_refuses_infinite_points(capsys, points):
-    # refused before linspace, which would warn and return [nan, nan, inf] for -inf:inf:3
+    # refused before linspace, which would warn and return [nan, nan, inf] for -inf:inf:3;
+    # -1e308:1e308 has finite ends, but its span hi - lo overflows
     code = cli_dispatch(
         ["estimate", "--fn", "sin", "--spec", "c2:m2=1", "--delta", "1e-4", f"--points={points}"]
     )

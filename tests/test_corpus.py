@@ -28,6 +28,15 @@ def test_list_names_mentions_all_families():
     assert any(n.startswith("holder:") for n in names)
 
 
+def test_every_corpus_name_has_derivative_access():
+    # studies measure true errors against f', so run_study has no refusal for its absence
+    for name in corpus_names():
+        for key in [name.replace("<a>", a) for a in ("0.1", "0.5", "1")] if "<a>" in name else [name]:
+            oracle = get_corpus_function(key).oracle
+            assert oracle.derivative_eval is not None, key
+            assert np.isfinite(oracle.derivative_values(_XS)).all(), key
+
+
 def test_unknown_names_rejected():
     with pytest.raises(ParameterError):
         get_corpus_function("cos")

@@ -26,6 +26,7 @@ from stablederiv import (
     UnstableFamilyError,
     estimate_holder_seminorm,
     estimate_second_derivative_sup,
+    get_corpus_function,
     noise_from_name,
 )
 from stablederiv import function_model
@@ -423,6 +424,52 @@ def test_holder_seminorm_argument_checks():
         estimate_holder_seminorm(g, 0.5, (-1, 1), 1)
 
 
+def _derivative_of(name: str) -> FunctionOracle:
+    oracle = get_corpus_function(name).oracle
+    return FunctionOracle(eval=oracle.derivative_eval, domain=oracle.domain, name=name)
+
+
+def _all_pairs_holder(g: FunctionOracle, a: float, window, grid_points: int) -> float:
+    """The plain reference: every pair i < j of an n x n matrix, repeated points skipped."""
+    xs = np.linspace(window[0], window[1], grid_points)
+    vals = g.values(xs)
+    dx = np.abs(xs[None, :] - xs[:, None])
+    dv = np.abs(vals[None, :] - vals[:, None])
+    pairs = np.triu(np.ones((grid_points, grid_points), dtype=bool), k=1) & (dx > 0)
+    return float(np.max(dv[pairs] / dx[pairs] ** a, initial=0.0))
+
+
+_NARROW = (1.0, 1.0 + 16 * 2.0**-52)  # 17 floats, so linspace repeats points
+_SUBNORMAL = (0.0, 9 * 5e-324)  # 7 points: linspace rounds the step up and reorders them
+
+
+@pytest.mark.parametrize("name", ["sin", "quadratic", "exp-decay", "holder:a=0.25",
+                                  "holder:a=0.5", "holder:a=1"])
+@pytest.mark.parametrize("a", [0.1, 0.5, 0.75, 1.0])
+@pytest.mark.parametrize("window, grid_points", [
+    ((-3.0, 3.0), 2), ((-3.0, 3.0), 3), ((-3.0, 3.0), 200), ((0.0, 1.0), 97), (_NARROW, 64),
+    (_SUBNORMAL, 7),
+])
+def test_holder_seminorm_equals_the_all_pairs_maximum(name, a, window, grid_points):
+    g = _derivative_of(name)
+    assert estimate_holder_seminorm(g, a, window, grid_points) == _all_pairs_holder(
+        g, a, window, grid_points)
+
+
+def test_linspace_repeats_and_reorders_points_on_narrow_windows():
+    # guards the cases above: the probe must cope with both
+    assert len(np.unique(np.linspace(*_NARROW, 64))) == 17
+    assert not (np.diff(np.linspace(*_SUBNORMAL, 7)) > 0).all()
+
+
+def test_holder_seminorm_memory_is_linear_in_grid_points():
+    # one row of lags at a time; a 256-row block scan would hold 256 x 511 temporaries (~4 MiB)
+    g = _derivative_of("holder:a=0.5")
+    estimate_holder_seminorm(g, 0.5, (-3.0, 3.0))  # first call: numpy's one-off allocations
+    peak = _traced_peak(lambda: estimate_holder_seminorm(g, 0.5, (-3.0, 3.0)))
+    assert peak < 128 * 1024, f"512-point Holder probe peaks at {peak / 1024:.0f} KiB"
+
+
 def test_second_derivative_probe_on_sin_and_quadratic():
     probe = estimate_second_derivative_sup(_sin_oracle(), window=(-5.0, 5.0))
     assert probe <= 1.0
@@ -456,7 +503,8 @@ def _half_line_identity() -> FunctionOracle:
     ((-math.inf, 1.0), ParameterError),
     ((0.0, math.nan), ParameterError),
     ((-1.0, 1.0), DomainError),  # the Holder probe sampled g off its domain and read 0.0
-], ids=["reversed", "infinite", "nan", "off-domain"])
+    ((-1e308, 1e308), ParameterError),  # finite ends, but hi - lo overflows
+], ids=["reversed", "infinite", "nan", "off-domain", "overflowing-span"])
 def test_probes_share_one_window_rule(probe, window, error):
     with pytest.raises(error, match="probe window"):
         if probe == "holder":

@@ -97,6 +97,13 @@ def test_parameter_errors():
         m1_bound(math.nan, 1.0, Domain.real_line())
     with pytest.raises(ParameterError):
         m1_bound(1.0, math.nan, Domain.interval(0.0, 1.0))
+    # inf * 0 is nan: an infinite bound is refused, not turned into m1_bound=nan
+    for m0, m2, domain in [(math.inf, 0.0, Domain.real_line()),
+                           (0.0, math.inf, Domain.real_line()),
+                           (0.0, math.inf, Domain.half_line()),
+                           (math.inf, 1.0, Domain.interval(0.0, 1.0))]:
+        with pytest.raises(ParameterError, match="finite"):
+            m1_bound(m0, m2, domain)
 
 
 def test_zero_curvature_on_unbounded_domains():

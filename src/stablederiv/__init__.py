@@ -33,7 +33,6 @@ from .adversary import (
     pointwise_bound_scan,
     write_challenges_csv,
 )
-from .corpus import CorpusEntry, get as get_corpus_function, list_names as corpus_names
 from .errors import (
     CapabilityError,
     ConfigurationError,
@@ -69,20 +68,9 @@ from .function_model import (
     SmoothnessSpec,
     SpecKind,
     UniformHashNoise,
-    estimate_holder_seminorm,
-    estimate_second_derivative_sup,
     noise_from_name,
 )
 from .inequalities import InequalityResult, m1_bound
-from .cli import (
-    StudyConfig,
-    StudyRow,
-    cli_dispatch,
-    fit_slope,
-    run_study,
-    theory_slope,
-    write_study_csv,
-)
 
 __version__ = "0.1.0"
 
@@ -92,7 +80,6 @@ __all__ = [
     "ChallengeRecord",
     "ConfigurationError",
     "ConstantSignNoise",
-    "CorpusEntry",
     "CosineAdversarialNoise",
     "DegenerateInputError",
     "Domain",
@@ -113,23 +100,15 @@ __all__ = [
     "SpecKind",
     "StableDerivError",
     "StepRule",
-    "StudyConfig",
-    "StudyRow",
     "UniformHashNoise",
     "UnstableFamilyError",
     "build_zoo",
     "central_difference",
     "challenge",
-    "cli_dispatch",
-    "corpus_names",
     "error_bound_c2",
     "error_bound_holder",
     "estimate",
-    "estimate_holder_seminorm",
     "estimate_on_grid",
-    "estimate_second_derivative_sup",
-    "fit_slope",
-    "get_corpus_function",
     "lower_bound",
     "m1_bound",
     "make_pair",
@@ -138,8 +117,5 @@ __all__ = [
     "optimal_step_holder",
     "optimality_witness",
     "pointwise_bound_scan",
-    "run_study",
-    "theory_slope",
     "write_challenges_csv",
-    "write_study_csv",
 ]

@@ -8,6 +8,12 @@ study      a delta-sweep convergence study with log-log slope fitting
 adversary  challenge estimators against the two-function counterexample
 bound      first-derivative bound from (m0, m2) on a chosen domain
 
+The module also holds the study runner and the two declaration probes that
+``study`` runs before a sweep: a brute-force Holder seminorm of f' and a
+difference probe of sup|f''|. Both sample a uniform grid on a given window
+inside the oracle's domain, so they read at most the true value there; both
+refuse a non-finite sample. ``import stablederiv`` does not load this module.
+
 Exit codes: 0 on success, 1 on any configuration problem (bad flags, bad
 files, failed smoothness validation), 2 when a measured error exceeds its
 certified bound -- that contract is the product, so a violation fails loudly
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +38,9 @@ import numpy as np
 from . import corpus
 from .adversary import build_zoo, challenge, pointwise_bound_scan, write_challenges_csv
 from .errors import (
+    CapabilityError,
     ConfigurationError,
+    DomainError,
     InsufficientDataError,
     ParameterError,
     StableDerivError,
@@ -45,19 +54,12 @@ from .function_model import (
     NoisyOracle,
     SmoothnessSpec,
     SpecKind,
-    estimate_holder_seminorm,
-    estimate_second_derivative_sup,
     noise_from_name,
 )
 from .inequalities import m1_bound
 
 # A study's sup-error window when none is given (the CLI's --window default).
 DEFAULT_STUDY_WINDOW = (-3.0, 3.0)
-
-# Validation slack for declared smoothness bounds: the brute-force probes
-# slightly undershoot true sups, so only a clear excess is a refusal.
-_VALIDATION_RTOL = 1e-4
-_VALIDATION_ATOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +156,8 @@ def parse_domain(text: str) -> Domain:
         return Domain.real_line()
     if key == "half":
         return Domain.half_line()
-    if key.startswith("interval"):
-        _, sep, rest = key.partition(":")
+    name, sep, rest = key.partition(":")
+    if name == "interval":
         if not sep:
             raise ConfigurationError("interval domains are written 'interval:<length>'")
         try:
@@ -165,6 +167,120 @@ def parse_domain(text: str) -> Domain:
     raise ConfigurationError(
         f"unknown domain {text!r}; use real, half, or interval:<length>"
     )
+
+
+# ---------------------------------------------------------------------------
+# declaration probes
+# ---------------------------------------------------------------------------
+
+_C2_PROBE_POINTS = 2001  # centres of the sup|f''| probe
+_C2_PROBE_STEP = 1e-3  # half-width of its difference of f'
+
+# Validation slack for declared smoothness bounds: the brute-force probes
+# slightly undershoot true sups, so only a clear excess is a refusal.
+_VALIDATION_RTOL = 1e-4
+_VALIDATION_ATOL = 1e-9
+
+
+def _probe_window(oracle: FunctionOracle, window: tuple[float, float]) -> tuple[float, float]:
+    """``window`` as floats; refused unless ``lo < hi``, finite ``hi - lo``, inside the domain."""
+    lo, hi = float(window[0]), float(window[1])
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise ParameterError(f"probe window [{lo}, {hi}] needs finite lo < hi and hi - lo")
+    oracle.domain.require(np.array([lo, hi]), "probe window")
+    return lo, hi
+
+
+def _finite_samples(vals: np.ndarray, oracle: FunctionOracle, lo: float, hi: float) -> np.ndarray:
+    if not np.isfinite(vals).all():
+        raise DomainError(f"{oracle.name or 'the function'} is not finite everywhere on the "
+                          f"probe window [{lo}, {hi}]")
+    return vals
+
+
+def estimate_holder_seminorm(
+    g: FunctionOracle,
+    a: float,
+    window: tuple[float, float],
+    grid_points: int = 512,
+) -> float:
+    """Brute-force Holder seminorm: max over grid pairs of |g(x)-g(y)| / |x-y|**a.
+
+    It compares each pair of distinct grid points once, one lag at a time, in
+    O(grid_points) memory, so it never exceeds the true seminorm on ``window``.
+    """
+    if not 0.0 < a <= 1.0:
+        raise ParameterError(f"Holder exponent must lie in (0, 1], got {a}")
+    if grid_points < 2:
+        raise ParameterError(f"grid_points must be >= 2, got {grid_points}")
+    lo, hi = _probe_window(g, window)
+    # on a window a few ulps wide linspace repeats points, can reorder subnormal ones and
+    # can step past hi; np.unique would also sort and dedupe, but it imports numpy.ma
+    xs = np.sort(np.clip(np.linspace(lo, hi, grid_points), lo, hi))
+    xs = xs[np.diff(xs, prepend=-np.inf) > 0]
+    vals = _finite_samples(g.values(xs), g, lo, hi)
+    best = 0.0
+    for d in range(1, len(xs)):
+        ratios = np.abs(vals[d:] - vals[:-d]) / (xs[d:] - xs[:-d]) ** a
+        best = max(best, float(np.max(ratios)))
+    return best
+
+
+def estimate_second_derivative_sup(oracle: FunctionOracle, window: tuple[float, float]) -> float:
+    """Probe sup|f''| on ``window`` via central differences of the exact derivative.
+
+    (f'(x+t) - f'(x-t)) / (2t) is an average of f'' over [x-t, x+t], so the
+    probe never exceeds the true sup (up to roundoff); it may undershoot by
+    O(t**2) for smooth f. Requires derivative access.
+    """
+    if oracle.derivative_eval is None:
+        raise CapabilityError("sup|f''| probe needs exact-derivative access")
+    lo, hi = _probe_window(oracle, window)
+    step = _C2_PROBE_STEP
+    # keep the probe stencil inside the window (and hence the domain)
+    if hi - lo <= 2.0 * step:
+        raise ParameterError(f"probe window [{lo}, {hi}] shorter than the stencil 2*{step}")
+    xs = np.linspace(lo + step, hi - step, _C2_PROBE_POINTS)
+    left = _finite_samples(oracle.derivative_values(xs - step), oracle, lo, hi)
+    right = _finite_samples(oracle.derivative_values(xs + step), oracle, lo, hi)
+    return float(np.max(np.abs(right - left))) / (2.0 * step)
+
+
+@functools.lru_cache(maxsize=64)
+def _probe(function: str, kind: SpecKind, exponent: float | None,
+           window: tuple[float, float]) -> float:
+    """The brute-force probe value for a declaration, computed once per process.
+
+    It depends only on these arguments (not on delta, seed, noise or the
+    declared bound), so it is cached; the verdict is not. ``function`` is the
+    name given to ``corpus.get``, because ``CorpusEntry.key`` rounds the exponent.
+    """
+    oracle = corpus.get(function).oracle
+    if kind is SpecKind.C2:
+        return estimate_second_derivative_sup(oracle, window=window)
+    derivative = FunctionOracle(
+        eval=oracle.derivative_eval, domain=oracle.domain, name=f"{oracle.name} derivative"
+    )
+    return estimate_holder_seminorm(derivative, exponent, window)
+
+
+def _validate_declaration(
+    function: str, spec: SmoothnessSpec, window: tuple[float, float]
+) -> None:
+    """Refuse a study whose declared bound the brute-force oracles contradict.
+
+    A declared bound that is too small would void the guarantee before the
+    run starts; a clear excess of the probe over the declaration is a
+    configuration error, not a later "violation".
+    """
+    probe = _probe(function, spec.kind, spec.exponent, tuple(map(float, window)))
+    label = "sup|f''|" if spec.kind is SpecKind.C2 else f"Holder({spec.exponent:g}) seminorm of f'"
+    if probe > spec.bound * (1.0 + _VALIDATION_RTOL) + _VALIDATION_ATOL:
+        raise ConfigurationError(
+            f"declared {label} = {spec.bound} is too small for {corpus.get(function).key!r}: "
+            f"a brute-force probe on {window} measures {probe:.6g}; raise the "
+            f"declared bound (or declare a different smoothness family)"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -208,43 +324,6 @@ class StudyRow:
     measured_sup_error: float
     n_points: int
     seed: int
-
-
-@functools.lru_cache(maxsize=64)
-def _probe(function: str, kind: SpecKind, exponent: float | None,
-           window: tuple[float, float]) -> float:
-    """The brute-force probe value for a declaration, computed once per process.
-
-    It depends only on these arguments (not on delta, seed, noise or the
-    declared bound), so it is cached; the verdict is not. ``function`` is the
-    name given to ``corpus.get``, because ``CorpusEntry.key`` rounds the exponent.
-    """
-    oracle = corpus.get(function).oracle
-    if kind is SpecKind.C2:
-        return estimate_second_derivative_sup(oracle, window=window)
-    derivative = FunctionOracle(
-        eval=oracle.derivative_eval, domain=oracle.domain, name=f"{oracle.name} derivative"
-    )
-    return estimate_holder_seminorm(derivative, exponent, window)
-
-
-def _validate_declaration(
-    function: str, spec: SmoothnessSpec, window: tuple[float, float]
-) -> None:
-    """Refuse a study whose declared bound the brute-force oracles contradict.
-
-    A declared bound that is too small would void the guarantee before the
-    run starts; a clear excess of the probe over the declaration is a
-    configuration error, not a later "violation".
-    """
-    probe = _probe(function, spec.kind, spec.exponent, tuple(map(float, window)))
-    label = "sup|f''|" if spec.kind is SpecKind.C2 else f"Holder({spec.exponent:g}) seminorm of f'"
-    if probe > spec.bound * (1.0 + _VALIDATION_RTOL) + _VALIDATION_ATOL:
-        raise ConfigurationError(
-            f"declared {label} = {spec.bound} is too small for {corpus.get(function).key!r}: "
-            f"a brute-force probe on {window} measures {probe:.6g}; raise the "
-            f"declared bound (or declare a different smoothness family)"
-        )
 
 
 def _noisy_oracle(

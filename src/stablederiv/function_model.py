@@ -13,12 +13,6 @@ in any order, returns the identical value. Random-looking noise is produced by
 hashing the bit pattern of the query point together with a seed, never by a
 stateful stream, so a :class:`NoisyOracle` is a well-defined function and
 every experiment is reproducible bit for bit.
-
-The module also houses the two probes that ``study`` uses to check a
-smoothness declaration against a corpus function before it runs: a
-brute-force Holder seminorm of f' and a difference probe of sup|f''|. Both
-sample a uniform grid on a given window inside the oracle's domain, so they
-read at most the true value there; both refuse a non-finite sample.
 """
 
 from __future__ import annotations
@@ -425,75 +419,3 @@ class GridSignal:
         if spacing <= 0 or off > 1e-9 * max(spacing, 1.0):
             raise ParameterError(f"{path}: grid is not uniformly spaced")
         return cls(x0=x0, spacing=spacing, values=vals, delta=delta)
-
-
-# ---------------------------------------------------------------------------
-# declaration probes
-# ---------------------------------------------------------------------------
-
-_C2_PROBE_POINTS = 2001  # centres of the sup|f''| probe
-_C2_PROBE_STEP = 1e-3  # half-width of its difference of f'
-
-
-def _probe_window(oracle: FunctionOracle, window: tuple[float, float]) -> tuple[float, float]:
-    """``window`` as floats; refused unless ``lo < hi``, finite ``hi - lo``, inside the domain."""
-    lo, hi = float(window[0]), float(window[1])
-    if not (lo < hi and math.isfinite(hi - lo)):
-        raise ParameterError(f"probe window [{lo}, {hi}] needs finite lo < hi and hi - lo")
-    oracle.domain.require(np.array([lo, hi]), "probe window")
-    return lo, hi
-
-
-def _finite_samples(vals: np.ndarray, oracle: FunctionOracle, lo: float, hi: float) -> np.ndarray:
-    if not np.isfinite(vals).all():
-        raise DomainError(f"{oracle.name or 'the function'} is not finite everywhere on the "
-                          f"probe window [{lo}, {hi}]")
-    return vals
-
-
-def estimate_holder_seminorm(
-    g: FunctionOracle,
-    a: float,
-    window: tuple[float, float],
-    grid_points: int = 512,
-) -> float:
-    """Brute-force Holder seminorm: max over grid pairs of |g(x)-g(y)| / |x-y|**a.
-
-    It compares each pair of distinct grid points once, one lag at a time, in
-    O(grid_points) memory, so it never exceeds the true seminorm on ``window``.
-    """
-    if not 0.0 < a <= 1.0:
-        raise ParameterError(f"Holder exponent must lie in (0, 1], got {a}")
-    if grid_points < 2:
-        raise ParameterError(f"grid_points must be >= 2, got {grid_points}")
-    lo, hi = _probe_window(g, window)
-    # linspace repeats points on a window a few ulps wide and can reorder subnormal ones;
-    # np.unique would also sort and dedupe, but its first call imports numpy.ma
-    xs = np.sort(np.linspace(lo, hi, grid_points))
-    xs = xs[np.diff(xs, prepend=-np.inf) > 0]
-    vals = _finite_samples(g.values(xs), g, lo, hi)
-    best = 0.0
-    for d in range(1, len(xs)):
-        ratios = np.abs(vals[d:] - vals[:-d]) / (xs[d:] - xs[:-d]) ** a
-        best = max(best, float(np.max(ratios)))
-    return best
-
-
-def estimate_second_derivative_sup(oracle: FunctionOracle, window: tuple[float, float]) -> float:
-    """Probe sup|f''| on ``window`` via central differences of the exact derivative.
-
-    (f'(x+t) - f'(x-t)) / (2t) is an average of f'' over [x-t, x+t], so the
-    probe never exceeds the true sup (up to roundoff); it may undershoot by
-    O(t**2) for smooth f. Requires derivative access.
-    """
-    if oracle.derivative_eval is None:
-        raise CapabilityError("sup|f''| probe needs exact-derivative access")
-    lo, hi = _probe_window(oracle, window)
-    step = _C2_PROBE_STEP
-    # keep the probe stencil inside the window (and hence the domain)
-    if hi - lo <= 2.0 * step:
-        raise ParameterError(f"probe window [{lo}, {hi}] shorter than the stencil 2*{step}")
-    xs = np.linspace(lo + step, hi - step, _C2_PROBE_POINTS)
-    left = _finite_samples(oracle.derivative_values(xs - step), oracle, lo, hi)
-    right = _finite_samples(oracle.derivative_values(xs + step), oracle, lo, hi)
-    return float(np.max(np.abs(right - left))) / (2.0 * step)

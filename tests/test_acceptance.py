@@ -32,19 +32,16 @@ import pytest
 from stablederiv import (
     Domain,
     SmoothnessSpec,
-    StudyConfig,
     build_zoo,
     challenge,
-    cli_dispatch,
-    get_corpus_function,
     m1_bound,
     make_pair,
     optimal_step_holder,
     optimality_witness,
     pointwise_bound_scan,
-    run_study,
 )
-from stablederiv.cli import parse_deltas
+from stablederiv import corpus
+from stablederiv.cli import StudyConfig, cli_dispatch, parse_deltas, run_study
 
 
 @contextlib.contextmanager
@@ -163,7 +160,7 @@ def test_c6_first_derivative_bounds():
         assert m1_bound(1.0, 1.0, Domain.interval(0.0, 1.0)).bound_m1 == 2.5
 
         for key in ("sin", "exp-decay"):
-            entry = get_corpus_function(key)
+            entry = corpus.get(key)
             measured = np.max(np.abs(entry.oracle.derivative_values(np.linspace(-10, 10, 2001))))
             bound = m1_bound(entry.m0, entry.m2, entry.oracle.domain).bound_m1
             assert measured <= bound, f"{key}: measured {measured} vs bound {bound}"

@@ -22,24 +22,24 @@ from stablederiv import (
     SmoothnessSpec,
     SpecKind,
     StepRule,
-    StudyConfig,
-    StudyRow,
     UnstableFamilyError,
-    cli_dispatch,
-    fit_slope,
     optimal_step_c2,
-    run_study,
-    theory_slope,
-    write_study_csv,
 )
 from stablederiv import cli
 from stablederiv.cli import (
+    StudyConfig,
+    StudyRow,
     build_parser,
+    cli_dispatch,
+    fit_slope,
     parse_deltas,
     parse_domain,
     parse_points,
     parse_spec,
     parse_window,
+    run_study,
+    theory_slope,
+    write_study_csv,
 )
 
 
@@ -123,7 +123,8 @@ def test_parse_domain_forms():
     assert parse_domain("half") == Domain.half_line()
     assert parse_domain("interval:2.5") == Domain.interval(0.0, 2.5)
     # the rule names printed by `bound` are not domain names
-    for bad in ("circle", "interval", "interval:-1", "whole-line", "line", "r", "half-line"):
+    for bad in ("circle", "interval", "interval:-1", "whole-line", "line", "r", "half-line",
+                "intervalx:1", "intervals:2"):
         with pytest.raises(ConfigurationError):
             parse_domain(bad)
 
@@ -603,6 +604,14 @@ def test_dispatch_builds_no_parser_after_the_first_call(monkeypatch, capsys):
     assert built == []
 
 
+def _fresh_interpreter(code: str) -> str:
+    path = [str(Path(cli.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    return done.stdout
+
+
 def test_import_builds_no_parser():
     # importing the package must stay free of CLI set-up work
     probe = (
@@ -616,11 +625,23 @@ def test_import_builds_no_parser():
         "import stablederiv\n"
         "print(len(built))\n"
     )
-    path = [str(Path(cli.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-                          timeout=60, check=True)
-    assert done.stdout == "0\n"
+    assert _fresh_interpreter(probe) == "0\n"
+    # the probe above loads argparse itself, so a second interpreter checks what the import loads
+    loaded = (
+        "import sys\n"
+        "import stablederiv\n"
+        "print(sorted({'argparse', 'stablederiv.cli', 'stablederiv.corpus'} & set(sys.modules)))\n"
+    )
+    assert _fresh_interpreter(loaded) == "[]\n"
+
+
+def test_every_public_name_resolves():
+    import stablederiv
+
+    namespace: dict = {}
+    exec("from stablederiv import *", namespace)
+    assert len(set(stablederiv.__all__)) == len(stablederiv.__all__)
+    assert set(stablederiv.__all__) <= namespace.keys()
 
 
 def test_dispatch_results_do_not_depend_on_call_order(capsys):

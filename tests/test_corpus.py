@@ -12,44 +12,42 @@ from stablederiv import (
     ParameterError,
     SmoothnessSpec,
     SpecKind,
-    corpus_names,
-    estimate_holder_seminorm,
-    estimate_second_derivative_sup,
-    get_corpus_function,
 )
+from stablederiv import corpus
+from stablederiv.cli import estimate_holder_seminorm, estimate_second_derivative_sup
 
 _XS = np.linspace(-10.0, 10.0, 2001)  # where the corpus functions attain their sups
 _WINDOW = (-10.0, 10.0)
 
 
 def test_list_names_mentions_all_families():
-    names = corpus_names()
+    names = corpus.list_names()
     assert "sin" in names and "quadratic" in names and "exp-decay" in names
     assert any(n.startswith("holder:") for n in names)
 
 
 def test_every_corpus_name_has_derivative_access():
     # studies measure true errors against f', so run_study has no refusal for its absence
-    for name in corpus_names():
+    for name in corpus.list_names():
         for key in [name.replace("<a>", a) for a in ("0.1", "0.5", "1")] if "<a>" in name else [name]:
-            oracle = get_corpus_function(key).oracle
+            oracle = corpus.get(key).oracle
             assert oracle.derivative_eval is not None, key
             assert np.isfinite(oracle.derivative_values(_XS)).all(), key
 
 
 def test_unknown_names_rejected():
     with pytest.raises(ParameterError):
-        get_corpus_function("cos")
+        corpus.get("cos")
     with pytest.raises(ParameterError):
-        get_corpus_function("holder:b=0.5")
+        corpus.get("holder:b=0.5")
     with pytest.raises(ParameterError):
-        get_corpus_function("holder:a=nope")
+        corpus.get("holder:a=nope")
     with pytest.raises(ParameterError):
-        get_corpus_function("holder:a=1.5")
+        corpus.get("holder:a=1.5")
 
 
 def test_sin_entry_norms_probe_below_declared():
-    entry = get_corpus_function("sin")
+    entry = corpus.get("sin")
     assert (entry.m0, entry.m1, entry.m2) == (1.0, 1.0, 1.0)
     assert np.max(np.abs(entry.oracle.values(_XS))) <= entry.m0
     assert np.max(np.abs(entry.oracle.derivative_values(_XS))) <= entry.m1
@@ -59,7 +57,7 @@ def test_sin_entry_norms_probe_below_declared():
 
 
 def test_quadratic_entry():
-    entry = get_corpus_function("quadratic")
+    entry = corpus.get("quadratic")
     assert entry.m0 is None and entry.m1 is None  # unbounded on the line
     assert entry.m2 == 2.0
     xs = np.linspace(-2, 2, 9)
@@ -75,7 +73,7 @@ def test_quadratic_entry():
 
 
 def test_exp_decay_entry():
-    entry = get_corpus_function("exp-decay")
+    entry = corpus.get("exp-decay")
     # f = exp(-x^2): peak 1 at 0; |f'| peaks at x = 1/sqrt(2); |f''| peaks at 0 with value 2
     assert entry.m0 == 1.0
     expected_m1 = math.sqrt(2.0) * math.exp(-0.5)
@@ -96,7 +94,7 @@ def test_exp_decay_entry():
 
 @pytest.mark.parametrize("a", [0.25, 0.5, 0.75, 1.0])
 def test_holder_entries(a):
-    entry = get_corpus_function(f"holder:a={a}")
+    entry = corpus.get(f"holder:a={a}")
     assert entry.holder_exponent == a
     assert entry.holder_seminorm == 1.0
     # f(1) = 1/(1+a) and f is odd
@@ -115,22 +113,22 @@ def test_holder_entries(a):
 
 def test_holder_spec_and_c2_spec_availability():
     # an honest C2 declaration needs a finite m2, a Holder one both Holder fields
-    smooth = get_corpus_function("holder:a=1")
+    smooth = corpus.get("holder:a=1")
     assert smooth.m2 == 1.0  # a = 1 means f'' = sign(x), bounded
     assert SmoothnessSpec.c2(smooth.m2).bound == 1.0
 
-    rough = get_corpus_function("holder:a=0.5")
+    rough = corpus.get("holder:a=0.5")
     assert rough.m2 is None  # f'' blows up at 0
     spec = SmoothnessSpec.holder(rough.holder_exponent, rough.holder_seminorm)
     assert spec.kind is SpecKind.HOLDER
     assert spec.exponent == 0.5 and spec.bound == 1.0
 
-    exp_decay = get_corpus_function("exp-decay")
+    exp_decay = corpus.get("exp-decay")
     assert exp_decay.holder_exponent is None and exp_decay.holder_seminorm is None
 
 
 def test_sin_specs():
-    entry = get_corpus_function("sin")
+    entry = corpus.get("sin")
     assert SmoothnessSpec.c2(entry.m2).kind is SpecKind.C2
     assert entry.m2 == 1.0
     assert (entry.holder_exponent, entry.holder_seminorm) == (1.0, 1.0)

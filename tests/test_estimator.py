@@ -32,10 +32,10 @@ from stablederiv import (
     error_bound_holder,
     estimate,
     estimate_on_grid,
-    get_corpus_function,
     optimal_step_c2,
     optimal_step_holder,
 )
+from stablederiv import corpus
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +211,7 @@ def test_step_rule_validation():
 
 
 def test_estimate_rejects_weak_information():
-    sin = get_corpus_function("sin").oracle
+    sin = corpus.get("sin").oracle
     noisy = NoisyOracle(base=sin, delta=1e-3, noise=NoNoise())
     for weak in (SmoothnessSpec.m0, SmoothnessSpec.m1):
         with pytest.raises(UnstableFamilyError, match="no stable derivative estimator"):
@@ -219,7 +219,7 @@ def test_estimate_rejects_weak_information():
 
 
 def test_estimate_rejects_zero_delta():
-    sin = get_corpus_function("sin").oracle
+    sin = corpus.get("sin").oracle
     noisy = NoisyOracle(base=sin, delta=0.0, noise=NoNoise())
     with pytest.raises(DegenerateInputError):
         estimate(noisy, SmoothnessSpec.c2(1.0), [0.0])
@@ -230,7 +230,7 @@ def test_estimate_rejects_zero_delta():
 )
 def test_fixed_step_runs_on_exact_data(spec, bound):
     # delta = 0 leaves only the truncation term: m2*h/2 (C2) or m*h**a (Holder)
-    sin = get_corpus_function("sin").oracle
+    sin = corpus.get("sin").oracle
     noisy = NoisyOracle(base=sin, delta=0.0, noise=NoNoise())
     pts = np.linspace(-3, 3, 301)
     report = estimate(noisy, spec, pts, step_rule=StepRule.fixed(1e-3))
@@ -240,7 +240,7 @@ def test_fixed_step_runs_on_exact_data(spec, bound):
 
 
 def test_estimate_sin_within_bound():
-    sin = get_corpus_function("sin").oracle
+    sin = corpus.get("sin").oracle
     noisy = NoisyOracle(base=sin, delta=1e-4, noise=NoNoise())
     report = estimate(noisy, SmoothnessSpec.c2(1.0), np.linspace(-3, 3, 301))
     assert report.h_used == pytest.approx(math.sqrt(2e-4), rel=1e-15)
@@ -295,7 +295,7 @@ def test_estimate_all_points_dropped_gives_empty_report():
 
 
 def test_estimate_empty_input_gives_empty_report():
-    sin = get_corpus_function("sin").oracle
+    sin = corpus.get("sin").oracle
     noisy = NoisyOracle(base=sin, delta=1e-4, noise=NoNoise())
     report = estimate(noisy, SmoothnessSpec.c2(1.0), [])
     assert len(report.points) == 0 and len(report.estimates) == 0
@@ -304,7 +304,7 @@ def test_estimate_empty_input_gives_empty_report():
 
 
 def test_estimate_refuses_multidimensional_points():
-    sin = get_corpus_function("sin").oracle
+    sin = corpus.get("sin").oracle
     noisy = NoisyOracle(base=sin, delta=1e-4, noise=NoNoise())
     with pytest.raises(ParameterError):
         estimate(noisy, SmoothnessSpec.c2(1.0), np.zeros((2, 3)))
@@ -314,7 +314,7 @@ def test_estimate_fixed_step_reports_the_bound_at_that_step():
     # at the optimal step h* = 0.0141 the bound is 0.0141; at h = 1e-3 the
     # cosine profile costs delta/h = 0.1 at the odd multiples of h, so the
     # bound must be recomputed at h
-    sin = get_corpus_function("sin").oracle
+    sin = corpus.get("sin").oracle
     delta, h = 1e-4, 1e-3
     noisy = NoisyOracle(base=sin, delta=delta, noise=CosineAdversarialNoise(h_ref=h))
     odd_multiples = np.linspace(-2.999, 2.999, 2999)
@@ -338,7 +338,7 @@ def test_estimate_mask_calls_do_not_grow_with_the_point_count(monkeypatch):
         return contains(self, x)
 
     monkeypatch.setattr(Domain, "contains", counting)
-    sin = get_corpus_function("sin").oracle
+    sin = corpus.get("sin").oracle
     noisy = NoisyOracle(base=sin, delta=1e-4, noise=UniformHashNoise(seed=1))
     counts = []
     for n in (10, 10_000):
@@ -435,7 +435,7 @@ class TestGuaranteeMatrix:
     @pytest.mark.parametrize("name,spec", CASES, ids=[f"{n}/{s.kind.value}" for n, s in CASES])
     @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6])
     def test_measured_error_never_exceeds_bound(self, name, spec, delta):
-        entry = get_corpus_function(name)
+        entry = corpus.get(name)
         h, _ = StepRule().resolve(delta, spec)
         noises = [
             NoNoise(),
@@ -538,7 +538,7 @@ def test_report_length_mismatch_rejected():
 
 
 def test_report_csv_round_trip(tmp_path):
-    sin = get_corpus_function("sin").oracle
+    sin = corpus.get("sin").oracle
     noisy = NoisyOracle(base=sin, delta=1e-4, noise=UniformHashNoise(seed=11))
     report = estimate(noisy, SmoothnessSpec.c2(1.0), np.linspace(-1, 1, 9))
     path = tmp_path / "report.csv"
@@ -557,7 +557,7 @@ def test_report_csv_round_trip(tmp_path):
 
 
 def test_report_coerces_numpy_scalars_to_plain_floats(tmp_path):
-    sin = get_corpus_function("sin").oracle
+    sin = corpus.get("sin").oracle
     noisy = NoisyOracle(base=sin, delta=np.float64(1e-4))
     rule = StepRule.fixed(np.float64(0.01))
     report = estimate(noisy, SmoothnessSpec.c2(1.0), [0.0, 0.5], step_rule=rule)
@@ -573,7 +573,7 @@ def test_report_coerces_numpy_scalars_to_plain_floats(tmp_path):
 
 
 def test_infinite_points_are_dropped_and_refused_by_central_difference():
-    sin = get_corpus_function("sin").oracle
+    sin = corpus.get("sin").oracle
     noisy = NoisyOracle(base=sin, delta=1e-4, noise=UniformHashNoise(seed=3))
     report = estimate(noisy, SmoothnessSpec.c2(1.0), [-np.inf, 0.0, np.inf, np.nan])
     assert report.points.tolist() == [0.0]
@@ -586,7 +586,7 @@ def test_infinite_points_are_dropped_and_refused_by_central_difference():
 
 def test_collapsed_stencil_is_refused_naming_x_and_h():
     # at |x| = 1e300, x - h and x + h round to x: the quotient would be 0 whatever f' is
-    sin = get_corpus_function("sin").oracle
+    sin = corpus.get("sin").oracle
     noisy = NoisyOracle(base=sin, delta=1e-4, noise=UniformHashNoise(seed=3))
     for x in (1e300, np.array([0.0, -1e300])):
         with pytest.raises(ParameterError, match=r"x = -?1e\+300 .* h = 0\.01;"):

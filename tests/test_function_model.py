@@ -24,12 +24,10 @@ from stablederiv import (
     SpecKind,
     UniformHashNoise,
     UnstableFamilyError,
-    estimate_holder_seminorm,
-    estimate_second_derivative_sup,
-    get_corpus_function,
     noise_from_name,
 )
-from stablederiv import function_model
+from stablederiv import corpus, function_model
+from stablederiv.cli import estimate_holder_seminorm, estimate_second_derivative_sup
 from stablederiv.function_model import write_float_csv
 
 
@@ -425,13 +423,13 @@ def test_holder_seminorm_argument_checks():
 
 
 def _derivative_of(name: str) -> FunctionOracle:
-    oracle = get_corpus_function(name).oracle
+    oracle = corpus.get(name).oracle
     return FunctionOracle(eval=oracle.derivative_eval, domain=oracle.domain, name=name)
 
 
 def _all_pairs_holder(g: FunctionOracle, a: float, window, grid_points: int) -> float:
     """The plain reference: every pair i < j of an n x n matrix, repeated points skipped."""
-    xs = np.linspace(window[0], window[1], grid_points)
+    xs = np.clip(np.linspace(window[0], window[1], grid_points), *window)
     vals = g.values(xs)
     dx = np.abs(xs[None, :] - xs[:, None])
     dv = np.abs(vals[None, :] - vals[:, None])
@@ -460,6 +458,20 @@ def test_linspace_repeats_and_reorders_points_on_narrow_windows():
     # guards the cases above: the probe must cope with both
     assert len(np.unique(np.linspace(*_NARROW, 64))) == 17
     assert not (np.diff(np.linspace(*_SUBNORMAL, 7)) > 0).all()
+    assert np.linspace(*_SUBNORMAL, 7).max() > _SUBNORMAL[1]
+
+
+def test_holder_seminorm_samples_only_inside_its_window():
+    # linspace(0, 9 * 5e-324, 7) has a point at 10 * 5e-324, past hi
+    seen = []
+
+    def recording(x):
+        seen.extend(np.ravel(x).tolist())
+        return np.asarray(x, dtype=float)
+
+    lo, hi = _SUBNORMAL
+    estimate_holder_seminorm(FunctionOracle(eval=recording), 1.0, _SUBNORMAL, 7)
+    assert seen and lo <= min(seen) and max(seen) <= hi
 
 
 def test_holder_seminorm_memory_is_linear_in_grid_points():

@@ -27,9 +27,8 @@ estimator provably unimprovable beyond its constant.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -37,7 +36,7 @@ import numpy as np
 
 from .errors import EstimatorFailure, ParameterError
 from .estimator import central_difference, error_bound_c2
-from .function_model import FunctionOracle, NoisyOracle, NoNoise
+from .function_model import FunctionOracle, NoisyOracle, NoNoise, write_csv
 
 _SCAN_CANDIDATES = 10001  # answers b tried by pointwise_bound_scan; odd, so b = 0 is one
 
@@ -230,23 +229,7 @@ def optimality_witness(delta: float, m2: float) -> tuple[float, float, float]:
 
 
 def write_challenges_csv(records: Sequence[ChallengeRecord], path: str | Path) -> None:
-    """Rows ``estimator,delta,M,b,err_f1,err_f2,worst,lower,beaten``."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(
-            ["estimator", "delta", "M", "b", "err_f1", "err_f2", "worst", "lower", "beaten"]
-        )
-        for r in records:
-            w.writerow(
-                [
-                    r.estimator,
-                    repr(r.delta),
-                    repr(r.derivative_budget),
-                    repr(r.answer),
-                    repr(r.err_f1),
-                    repr(r.err_f2),
-                    repr(r.worst),
-                    repr(r.lower),
-                    str(r.beaten).lower(),
-                ]
-            )
+    """Rows ``estimator,delta,M,b,err_f1,err_f2,worst,lower,beaten``: each record's fields."""
+    rows = [astuple(r)[:-1] + (str(r.beaten).lower(),) for r in records]
+    header = ["estimator", "delta", "M", "b", "err_f1", "err_f2", "worst", "lower", "beaten"]
+    write_csv(path, header, list(zip(*rows)))

@@ -29,7 +29,7 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -55,6 +55,7 @@ from .function_model import (
     SmoothnessSpec,
     SpecKind,
     noise_from_name,
+    write_csv,
 )
 from .inequalities import m1_bound
 
@@ -390,11 +391,8 @@ def theory_slope(spec: SmoothnessSpec) -> float:
 
 def write_study_csv(rows: Sequence[StudyRow], slope: float, path: str | Path) -> None:
     """Header row, one row per delta, and a trailing ``# slope,<value>`` line."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("delta,h_used,theory_bound,measured_sup_error,n_points,seed\n")
-        for r in rows:
-            fh.write(f"{r.delta!r},{r.h_used!r},{r.theory_bound!r},"
-                     f"{r.measured_sup_error!r},{r.n_points},{r.seed}\n")
+    write_csv(path, [f.name for f in fields(StudyRow)], list(zip(*map(astuple, rows))))
+    with open(path, "a", newline="", encoding="utf-8") as fh:
         fh.write(f"# slope,{slope!r}\n")
 
 

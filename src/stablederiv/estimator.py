@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, DomainError, GridTooShortError, ParameterError
 from .function_model import Domain, GridSignal, NoisyOracle, SmoothnessSpec, SpecKind
-from .function_model import write_float_csv
+from .function_model import write_csv
 
 
 def _require_positive(**values: float) -> None:
@@ -82,8 +82,8 @@ def error_bound_holder(delta: float, a: float, m1a: float) -> float:
 def _stencil_in_domain(domain: Domain, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """True where both stencil ends, left = x-h and right = x+h, are finite and in the domain.
 
-    Equals ``domain.contains(x - h) and domain.contains(x + h)`` restricted to finite
-    ends: NaN and ±inf fail ``isfinite``; as h > 0 gives left <= right, ``left >= lo``
+    Equals ``domain.contains(x - h) and domain.contains(x + h)`` elementwise: NaN and
+    ±inf fail ``isfinite``; as h > 0 gives left <= right, ``left >= lo``
     and ``right <= hi`` imply the other two bounds. An end exactly on lo or hi is kept.
     """
     return np.isfinite(left) & np.isfinite(right) & (left >= domain.lo) & (right <= domain.hi)
@@ -190,7 +190,7 @@ class EstimateReport:
         if self.abs_errors is not None:
             header.append("abs_error")
             columns.append(self.abs_errors)
-        write_float_csv(path, header, columns)
+        write_csv(path, header, columns)
 
 
 def estimate(

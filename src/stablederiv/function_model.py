@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import CapabilityError, DomainError, ParameterError, UnstableFamilyError
 
-_CSV_BLOCK = 4096  # rows read by GridSignal.from_csv, or written by write_float_csv, at a time
+_CSV_BLOCK = 4096  # rows read by GridSignal.from_csv, or written by write_csv, at a time
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +68,9 @@ class Domain:
         return math.isfinite(self.lo) and math.isfinite(self.hi)
 
     def contains(self, x: float | np.ndarray) -> bool:
-        return bool(np.all((np.asarray(x) >= self.lo) & (np.asarray(x) <= self.hi)))
+        """True when every x is finite and inside [lo, hi]; NaN and +-inf never are."""
+        x = np.asarray(x)
+        return bool(np.all(np.isfinite(x) & (x >= self.lo) & (x <= self.hi)))
 
     def require(self, x: float | np.ndarray, what: str = "point") -> None:
         if not self.contains(x):
@@ -244,12 +246,14 @@ _SPLITMIX_M2 = np.uint64(0x94D049BB133111EB)
 
 
 def _splitmix64(z: np.ndarray) -> np.ndarray:
-    # 64-bit finalizer; uint64 arithmetic wraps mod 2**64 by design.
+    # 64-bit finalizer, in place on z; uint64 arithmetic wraps mod 2**64 by design.
     with np.errstate(over="ignore"):
-        z = z + _SPLITMIX_GAMMA
-        z = (z ^ (z >> np.uint64(30))) * _SPLITMIX_M1
-        z = (z ^ (z >> np.uint64(27))) * _SPLITMIX_M2
-        return z ^ (z >> np.uint64(31))
+        z += _SPLITMIX_GAMMA
+        for shift, mult in ((30, _SPLITMIX_M1), (27, _SPLITMIX_M2)):
+            z ^= z >> np.uint64(shift)
+            z *= mult
+        z ^= z >> np.uint64(31)
+        return z
 
 
 class UniformHashNoise(NoiseModel):
@@ -267,12 +271,9 @@ class UniformHashNoise(NoiseModel):
 
     def unit(self, x: np.ndarray) -> np.ndarray:
         xs = np.asarray(x, dtype=np.float64) + 0.0
-        bits = np.atleast_1d(xs).view(np.uint64)
-        mixed = _splitmix64(bits ^ self._seed_bits)
-        # top 53 bits -> [0, 1), then map onto [-1, 1)
-        u = (mixed >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        out = 2.0 * u - 1.0
-        return out.reshape(np.shape(x))
+        k = _splitmix64(np.atleast_1d(xs).view(np.uint64) ^ self._seed_bits)
+        k >>= np.uint64(11)  # top 53 bits; k * 2**-52 - 1 is exactly 2*(k * 2**-53) - 1
+        return (k.astype(np.float64) * 2.0**-52 - 1.0).reshape(np.shape(x))
 
 
 def noise_from_name(
@@ -329,22 +330,30 @@ class NoisyOracle:
 # ---------------------------------------------------------------------------
 
 
-def write_float_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> None:
-    """Write a header row, then one row per array element, each cell a float ``repr``.
+def _csv_str(s: str) -> str:
+    return '"' + s.replace('"', '""') + '"' if any(c in s for c in ',"\r\n') else s
 
-    Array columns must share one length (else ValueError, before the file is opened);
-    a scalar column repeats one repr. Rows go out in blocks, so memory stays bounded.
+
+def write_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> None:
+    """Write a header row, then one row per array element: the package's one table writer.
+
+    Each cell comes from its column's Python scalar: a float as its ``repr``, an int as its
+    digits, a str as ``csv.writer`` writes it, quoted only when it holds a comma, a quote or a
+    line break (a lone carriage return too, so ``csv.reader`` reads it back). Array columns
+    must share one length (else ValueError, before the file is opened); a scalar column
+    repeats one cell. Rows go out in blocks, so memory stays bounded.
     """
-    arrays = [np.asarray(c, dtype=float) for c in columns]
+    arrays = [np.asarray(c) for c in columns]
     n = max((len(a) for a in arrays if a.ndim), default=0)
     if any(a.ndim and len(a) != n for a in arrays):
         raise ValueError(f"array columns differ in length: {[len(a) for a in arrays if a.ndim]}")
+    formats = [_csv_str if a.dtype.kind == "U" else repr for a in arrays]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(map(_csv_str, header)) + "\n")
         for i in range(0, n, _CSV_BLOCK):
             m = min(_CSV_BLOCK, n - i)
-            cells = [map(repr, a[i : i + m].tolist()) if a.ndim else [repr(float(a))] * m
-                     for a in arrays]
+            cells = [map(f, a[i : i + m].tolist()) if a.ndim else [f(a.tolist())] * m
+                     for f, a in zip(formats, arrays)]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
@@ -380,15 +389,16 @@ class GridSignal:
 
     def to_csv(self, path: str | Path) -> None:
         """Write as CSV with header ``x,value`` (full-precision reprs)."""
-        write_float_csv(path, ["x", "value"], [self.xs, self.values])
+        write_csv(path, ["x", "value"], [self.xs, self.values])
 
     @classmethod
     def from_csv(cls, path: str | Path, delta: float) -> "GridSignal":
-        """Read a ``x,value`` CSV; the grid must be uniform to ~1e-9 relative.
+        """Read a ``x,value`` CSV; each step must be within 1e-9 relative of the mean step.
 
         Rows are read ``_CSV_BLOCK`` at a time, so of several defects the first in file order
         wins: the header, then each block, where non-UTF-8 bytes or an oversized cell (also in the
         decoder's few KiB of read-ahead) beat a malformed row. Count, finiteness, spacing come last.
+        A step may also be off by 4 ulps of max|x|, for the rounding of the x cells themselves.
         """
         xs, vals = array("d"), array("d")
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -416,6 +426,6 @@ class GridSignal:
             raise ParameterError(f"{path}: the x span {x0!r} to {x1!r} overflows a float")
         with np.errstate(over="ignore"):  # an overflowing step is inf, so it is refused
             off = np.max(np.abs(np.diff(xs) - spacing))
-        if spacing <= 0 or off > 1e-9 * max(spacing, 1.0):
+        if spacing <= 0 or off > 1e-9 * spacing + 4.0 * math.ulp(max(abs(x0), abs(x1))):
             raise ParameterError(f"{path}: grid is not uniformly spaced")
         return cls(x0=x0, spacing=spacing, values=vals, delta=delta)

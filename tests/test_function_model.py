@@ -28,7 +28,7 @@ from stablederiv import (
 )
 from stablederiv import corpus, function_model
 from stablederiv.cli import estimate_holder_seminorm, estimate_second_derivative_sup
-from stablederiv.function_model import write_float_csv
+from stablederiv.function_model import write_csv
 
 
 def _sin_oracle() -> FunctionOracle:
@@ -199,6 +199,28 @@ class TestUniformHashNoise:
         UniformHashNoise(seed=2**64 - 1).unit(np.array([0.5]))
         UniformHashNoise(seed=-3).unit(np.array([0.5]))
 
+    @pytest.mark.parametrize("seed", [0, 11, 2**64 - 1])
+    def test_unit_is_bit_identical_to_the_reference_formula(self, seed):
+        def splitmix64(z):  # the reference: the same finalizer, without in-place updates
+            with np.errstate(over="ignore"):
+                z = z + np.uint64(0x9E3779B97F4A7C15)
+                z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+                z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+                return z ^ (z >> np.uint64(31))
+
+        def reference(x):
+            seed_bits = splitmix64(np.asarray(seed % 2**64, dtype=np.uint64))
+            bits = np.atleast_1d(np.asarray(x, dtype=np.float64) + 0.0).view(np.uint64)
+            u = (splitmix64(bits ^ seed_bits) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+            return (2.0 * u - 1.0).reshape(np.shape(x))
+
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2e-308, -1e-310]
+        xs = np.concatenate([special, np.random.default_rng(seed % 97).standard_normal(4096) * 3])
+        noise = UniformHashNoise(seed=seed)
+        assert noise.unit(xs).tobytes() == reference(xs).tobytes()
+        for x in special:
+            assert np.asarray(noise.unit(x)).tobytes() == np.asarray(reference(x)).tobytes()
+
 
 def test_noise_from_name_aliases():
     assert isinstance(noise_from_name("none"), NoNoise)
@@ -257,6 +279,17 @@ def test_eval_noisy_outside_domain():
         noisy.eval_noisy(-1.0)
 
 
+@pytest.mark.parametrize("domain",
+                         [Domain.real_line(), Domain.half_line(), Domain.interval(0.0, 1.0)])
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, np.array([0.5, math.inf])])
+def test_eval_noisy_refuses_non_finite_points(domain, x):
+    # +-inf passes lo <= x <= hi on the real line; membership also asks for a finite x
+    assert not domain.contains(x)
+    noisy = NoisyOracle(FunctionOracle(eval=np.sin, domain=domain), 1e-3)
+    with pytest.raises(DomainError):
+        noisy.eval_noisy(x)
+
+
 def test_noisy_oracle_rejects_negative_delta():
     with pytest.raises(ParameterError):
         NoisyOracle(base=_sin_oracle(), delta=-0.1)
@@ -299,27 +332,40 @@ def test_grid_signal_csv_round_trip(tmp_path):
 
 @pytest.mark.parametrize("block", [1, 7, 65536])
 @pytest.mark.parametrize("n", [0, 1, 300])
-def test_write_float_csv_matches_the_csv_writer_loop(tmp_path, monkeypatch, n, block):
+def test_write_csv_matches_the_csv_writer_loop(tmp_path, monkeypatch, n, block):
     monkeypatch.setattr(function_model, "_CSV_BLOCK", block)
     rng = np.random.default_rng(n)
     special = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, 1.0 / 3.0]
     xs = np.concatenate([special, rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)])[:n]
     ys = rng.standard_normal(n)
+    counts = rng.integers(-2**62, 2**62, n)
+    words = ["plain", "a,b", 'say "hi"', "", ' ,"', "line\nbreak", "x y", "#"]
+    names = [words[k % len(words)] for k in range(n)]
+    header = ["x", "y", "h", "bound", "count", "seed", "name", "tag", "a,b"]
     got = tmp_path / "bulk.csv"
-    write_float_csv(got, ["x", "y", "h", "bound"], [xs, ys, np.float64(0.01), 2.5])
+    write_csv(got, header, [xs, ys, np.float64(0.01), 2.5, counts, 7, names, 'q"t'])
     want = tmp_path / "loop.csv"
     with open(want, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["x", "y", "h", "bound"])
-        for x, y in zip(xs, ys):
-            w.writerow([repr(float(x)), repr(float(y)), repr(0.01), repr(2.5)])
+        w.writerow(header)
+        for x, y, c, name in zip(xs, ys, counts, names):
+            w.writerow([repr(float(x)), repr(float(y)), repr(0.01), repr(2.5), int(c), 7, name,
+                        'q"t'])
     assert got.read_bytes() == want.read_bytes()
 
 
-def test_write_float_csv_refuses_columns_of_unequal_length(tmp_path):
+def test_write_csv_str_cells_read_back_through_csv_reader(tmp_path):
+    words = ["plain", "a,b", 'say "hi"', "", "line\nbreak", "bare\rreturn", "\r\n", " pad "]
+    path = tmp_path / "words.csv"
+    write_csv(path, ["word", "n"], [words, np.arange(len(words))])
+    with open(path, newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh))[1:] == [[w, str(k)] for k, w in enumerate(words)]
+
+
+def test_write_csv_refuses_columns_of_unequal_length(tmp_path):
     path = tmp_path / "ragged.csv"
     with pytest.raises(ValueError):
-        write_float_csv(path, ["x", "y"], [np.zeros(3), np.zeros(2)])
+        write_csv(path, ["x", "y"], [np.zeros(3), np.zeros(2)])
     assert not path.exists()
 
 
@@ -354,13 +400,13 @@ def test_grid_csv_memory_does_not_grow_with_objects_per_row(tmp_path):
         xs = -5.0 + 2e-4 * np.arange(n)
         ys = np.sin(xs)
         path = tmp_path / f"grid-{n}.csv"
-        write_float_csv(path, ["x", "value"], [xs, ys])
+        write_csv(path, ["x", "value"], [xs, ys])
         out = tmp_path / f"out-{n}.csv"
         peaks[n] = (_traced_peak(lambda: GridSignal.from_csv(path, delta=0.0)),
-                    _traced_peak(lambda: write_float_csv(out, ["x", "y", "h"], [xs, ys, 0.01])))
+                    _traced_peak(lambda: write_csv(out, ["x", "y", "h"], [xs, ys, 0.01])))
     read_per_row, write_per_row = ((b - a) / 60_000 for a, b in zip(peaks[20_000], peaks[80_000]))
     assert read_per_row < 64, f"from_csv peak grows {read_per_row:.0f} bytes a row"
-    assert write_per_row < 32, f"write_float_csv peak grows {write_per_row:.0f} bytes a row"
+    assert write_per_row < 32, f"write_csv peak grows {write_per_row:.0f} bytes a row"
 
 
 def test_grid_signal_csv_rejects_bad_header(tmp_path):

@@ -4,7 +4,8 @@ Acceptance test C8 compares two runs of one build with each other; these
 hashes pin the bytes themselves, so a refactor or optimisation of the
 estimation path that changes any kept point, estimate, step, bound or error
 fails here. The hashes were recorded before the stencil mask was vectorised;
-the grid-signal and grid-report hashes before the CSV writer went bulk.
+the grid-signal and grid-report hashes before the CSV writer went bulk; the
+challenge hash before the study and challenge tables moved onto that writer.
 The study and CLI reports go through ``np.sin``/``np.cos``; the library and
 grid cases use only correctly rounded arithmetic (+, -, *, /, sqrt) and the
 splitmix hash, so their bytes do not depend on the platform's libm.
@@ -40,6 +41,7 @@ ESTIMATE_SHA256 = "1e14a055c36a11b490302821114a95a17f608b1600429a7f1926eff9b65d0
 LIBRARY_SHA256 = "838a668a1e30e401867f06aa65578c1b5e76693eedf06dd32607f04ddfedc134"
 GRID_SIGNAL_SHA256 = "a609d5fde5da210e44239bac64c9b98f67643595a8e5c93a5bb6183dfbecf519"
 GRID_REPORT_SHA256 = "b4702e02889cc8cd8d6ed85c76620df2ae847e9b33902d09811d35918ea9782b"
+CHALLENGE_SHA256 = "c4054a828449e0a2c52008e2073677799f8e36083a5223695013cfe0b10cdbb6"
 
 
 def _sha256(path) -> str:
@@ -110,6 +112,13 @@ def test_golden_grid_signal_and_grid_report(tmp_path):
     assert _sha256(out) == GRID_REPORT_SHA256
 
 
+def test_golden_challenge_csv(tmp_path):
+    out = tmp_path / "challenges.csv"
+    code = cli_dispatch(["adversary", "--delta", "0.005", "--M", "1", "--out", str(out)])
+    assert code == 0
+    assert _sha256(out) == CHALLENGE_SHA256
+
+
 _PLAIN_GRID = "x,value\n0.0,1.0\n0.1,10.0\n0.2,2.5\n0.3,2.0\n"
 
 
@@ -159,17 +168,30 @@ def test_grid_csv_accepted_inputs(tmp_path, text):
         _PLAIN_GRID.replace("0.1,", "nan,"),
         _PLAIN_GRID.replace("0.3,", "inf,"),
         "x,value\n-1e308,0.0\n0,0.0\n1e308,0.0\n",
+        # f(x) = x on steps of 1e-10 to 8e-10: within 1e-9 absolute, far off 1e-9 of the step
+        "x,value\n" + "".join(f"{x},{x}\n" for x in ("0.0", "1e-10", "9e-10", "1e-09", "1.1e-09",
+                                                       "1.5e-09")),
     ],
     ids=["empty-file", "header-only", "blank-before-header", "comment-before-header",
          "extra-header-column", "one-column-row", "non-numeric-cell", "empty-cell",
          "whitespace-row", "two-samples", "non-uniform", "not-utf-8", "oversized-cell",
-         "nan-value", "inf-value", "nan-middle-x", "inf-last-x", "overflowing-span"],
+         "nan-value", "inf-value", "nan-middle-x", "inf-last-x", "overflowing-span",
+         "non-uniform-small-steps"],
 )
 def test_grid_csv_refused_inputs(tmp_path, text):
     path = tmp_path / "grid.csv"
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(ParameterError, match=f"^{re.escape(str(path))}: "):
         GridSignal.from_csv(path, delta=0.0)
+
+
+def test_grid_csv_allows_rounding_in_the_x_cells(tmp_path):
+    # steps of 1e-8 at x = 1 are uniform only to an ulp of 1.0, far above 1e-9 of the step
+    xs = [1.0 + k * 1e-8 for k in range(5)]
+    assert max(abs(b - a - 1e-8) for a, b in zip(xs, xs[1:])) > 1e-9 * 1e-8
+    path = tmp_path / "grid.csv"
+    path.write_text("x,value\n" + "".join(f"{x!r},0.0\n" for x in xs))
+    assert GridSignal.from_csv(path, delta=0.0).spacing == (xs[-1] - xs[0]) / 4
 
 
 def test_grid_csv_two_defects_report_the_earlier_block(tmp_path):
